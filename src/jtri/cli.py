@@ -113,15 +113,23 @@ def _check_tol(args, residuals):
             "residual diagnostic %.3g exceeds --tol %.3g" % (worst, args.tol))
 
 
+def _recon_rel(a, u, r, v):
+    """||u r v^H - a|| / ||a||, with both sides divided by max|a| first so
+    the norms neither overflow nor underflow at extreme scales."""
+    scale = float(np.max(np.abs(a))) or 1.0
+    return float(np.linalg.norm((u @ r @ v.conj().T - a) / scale)
+                 / np.linalg.norm(a / scale))
+
+
 def _joint_diagnostics(mats, factors):
     recon = 0.0
     tri = 0.0
     for (u, r), a in zip(factors.users, mats):
-        recon = max(recon, float(np.linalg.norm(u @ r @ factors.v.conj().T - a)
-                                 / max(np.linalg.norm(a), 1e-300)))
+        recon = max(recon, _recon_rel(a, u, r, factors.v))
         tri = max(tri, float(np.max(np.abs(np.tril(r, -1)))))
     diag_spread = float(max(
-        np.max(np.abs(np.real(np.diag(r)) - factors.diag)) for _, r in factors.users))
+        np.max(np.abs(np.real(np.diag(r)) - factors.diag)) for _, r in factors.users)
+        / np.mean(np.abs(factors.diag)))
     return {"recon_rel": recon, "triangularity": tri, "diag_spread": diag_spread}
 
 
@@ -155,8 +163,7 @@ def _cmd_decompose(args):
             fac = gtd_mod.block_gtd(a, gtd_mod.BlockSpec(block_sizes=sizes,
                                                          block_dets=dets))
             extra = {"boundaries": fac.boundaries}
-        rec = float(np.linalg.norm(fac.u @ fac.r @ fac.v.conj().T - a)
-                    / max(np.linalg.norm(a), 1e-300))
+        rec = _recon_rel(a, fac.u, fac.r, fac.v)
         out = {
             "kind": kind,
             "u": _mat_json(fac.u), "r": _mat_json(fac.r), "v": _mat_json(fac.v),
@@ -210,9 +217,7 @@ def _cmd_decompose(args):
             "users": [{"u": _mat_json(u1), "r": _mat_json(r1)},
                       {"u": _mat_json(u2), "r": _mat_json(r2)}],
             "residuals": {
-                "recon_rel": max(
-                    float(np.linalg.norm(u1 @ r1 @ v.conj().T - a1) / np.linalg.norm(a1)),
-                    float(np.linalg.norm(u2 @ r2 @ v.conj().T - a2) / np.linalg.norm(a2))),
+                "recon_rel": max(_recon_rel(a1, u1, r1, v), _recon_rel(a2, u2, r2, v)),
                 "triangularity": max(float(abs(r1[1, 0])), float(abs(r2[0, 1]))),
             },
         }

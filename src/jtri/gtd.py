@@ -1,13 +1,19 @@
 """Single-matrix unitary triangularizations.
 
-gtd()  -- upper-triangular factor with a prescribed positive diagonal,
-          feasible exactly when the singular values multiplicatively
-          majorize the target.
+gtd()  -- upper-triangular factor with a prescribed positive diagonal, in
+          any order, feasible exactly when the singular values
+          multiplicatively majorize the target.
 gmd()  -- the constant-diagonal special case (always feasible).
 check_multiplicity_conditions() -- the reduced M-condition feasibility
           test when the target diagonal has repeated values.
 block_gtd() -- block upper-triangular form with prescribed block
           determinant magnitudes.
+
+Each decomposition costs one SVD plus O(n^2): a sweep of n - 1 rotation
+pairs on the SVD's diagonal places one target entry per step, in the
+caller's order.  Every step pairs the two cells that most tightly bracket
+the entry, which keeps the remaining cells majorizing the remaining
+targets whatever their order (see _gtd_sweep).
 """
 
 from dataclasses import dataclass, field
@@ -66,6 +72,11 @@ def _check_square_invertible(a):
     return m, fac
 
 
+# Relative to the target: a cell this close to it counts as both at or
+# above and at or below it.  Such a gap is roundoff from earlier steps.
+_SNAP = 4 * np.finfo(float).eps
+
+
 def _first_failing_prefix(sigma, target, tol=matcore.TOL_MAJOR):
     """1-based length of the first violated prefix (n = product mismatch), or None."""
     ls = np.sort(np.log(sigma))[::-1]
@@ -85,43 +96,40 @@ def _rot(c, s):
     return np.array([[c, -s], [s, c]])
 
 
-def _apply_right_pair(mats, j, g):
-    """cols (j, j+1) of every matrix in mats times the 2x2 g."""
-    for m in mats:
-        m[:, j:j + 2] = m[:, j:j + 2] @ g
-
-
-def _apply_left_pair(m, j, g):
-    """rows (j, j+1) of m times g^H from the left."""
-    m[j:j + 2, :] = g.conj().T @ m[j:j + 2, :]
-
-
 def _deflate(r_mat, u_mat, v_mat, j, target):
-    """One pairing step: diagonal entries (j, j+1) of r_mat, with
-    r[j,j] >= target >= r[j+1,j+1], become (target, product/target).
+    """One pairing step: diagonal entries (j, j+1) of r_mat, with target
+    between them, become (target, product/target).
 
-    Assumes rows j, j+1 of r_mat are zero to the right of the pair and the
-    pair block itself is diagonal, which the sweep in _gtd_sorted maintains.
+    Assumes rows j, j+1 of r_mat are zero outside the pair block and the
+    block itself is diagonal, which the sweep in _gtd_sweep maintains.
+    The rotation is worked out from d2/d1 and target/d1 as differences
+    times sums, so no square of the input's scale is formed and
+    cos^2, sin^2 each keep their relative accuracy.
     """
     d1 = r_mat[j, j].real
     d2 = r_mat[j + 1, j + 1].real
-    if abs(d1 - d2) <= 1e-15 * (d1 + d2):
+    e = d2 / d1
+    t = target / d1
+    if abs(1.0 - e) <= 1e-15 * (1.0 + e):
         c, s = 1.0, 0.0
     else:
-        c2 = (target * target - d2 * d2) / (d1 * d1 - d2 * d2)
-        c = np.sqrt(min(max(c2, 0.0), 1.0))
-        s = np.sqrt(max(1.0 - c * c, 0.0))
+        den = (1.0 - e) * (1.0 + e)
+        c = np.sqrt(min(max((t - e) * (t + e) / den, 0.0), 1.0))
+        s = np.sqrt(min(max((1.0 - t) * (1.0 + t) / den, 0.0), 1.0))
+        h = np.hypot(c, s)
+        c, s = c / h, s / h
     gr = _rot(c, s)
-    q1 = np.array([c * d1, s * d2]) / max(target, 1e-300)
-    nq = np.linalg.norm(q1)
-    q1 = q1 / nq if nq > 0 else np.array([1.0, 0.0])
-    gl = np.array([[q1[0], -q1[1]], [q1[1], q1[0]]])
-    _apply_right_pair([r_mat, v_mat], j, gr)
-    _apply_left_pair(r_mat, j, gl)
+    h = np.hypot(c, s * e)
+    gl = _rot(c / h, s * e / h)
+    r_mat[:j + 2, j:j + 2] = r_mat[:j + 2, j:j + 2] @ gr
+    v_mat[:, j:j + 2] = v_mat[:, j:j + 2] @ gr
+    r_mat[j:j + 2, j:j + 2] = gl.T @ r_mat[j:j + 2, j:j + 2]
     u_mat[:, j:j + 2] = u_mat[:, j:j + 2] @ gl
+    # the exact values of the new pair, which the rotated entries match
+    # to a few ulps
+    r_mat[j, j] = target
     r_mat[j + 1, j] = 0.0
-    r_mat[j, j] = r_mat[j, j].real
-    r_mat[j + 1, j + 1] = r_mat[j + 1, j + 1].real
+    r_mat[j + 1, j + 1] = d1 * (d2 / target)
 
 
 def _swap_positions(r_mat, u_mat, v_mat, j, p):
@@ -129,96 +137,54 @@ def _swap_positions(r_mat, u_mat, v_mat, j, p):
     block), keeping the factorization consistent."""
     if j == p:
         return
-    perm_rows = list(range(r_mat.shape[0]))
-    perm_rows[j], perm_rows[p] = perm_rows[p], perm_rows[j]
-    r_mat[:, :] = r_mat[np.ix_(perm_rows, perm_rows)]
-    u_mat[:, :] = u_mat[:, perm_rows]
-    v_mat[:, :] = v_mat[:, perm_rows]
+    for m in (r_mat, u_mat, v_mat):
+        m[:, [j, p]] = m[:, [p, j]]
+    r_mat[[j, p], :] = r_mat[[p, j], :]
 
 
-def _gtd_sorted(fac, tau):
-    """Construct u, r, v for a non-increasing positive target tau, starting
-    from the SVD ``fac``.
+def _gtd_sweep(fac, target):
+    """GtdFactors whose r has the positive diagonal ``target``, in the
+    order given, starting from the SVD ``fac``.
 
-    Each step pairs the tightest bracketing cells: the smallest remaining
-    diagonal cell at or above the target with the largest cell at or below
-    it.  (Pairing the overall largest with the overall smallest looks
-    natural but can leave a remainder that no longer majorizes the
-    remaining targets; bracketing preserves the invariant.)
+    Step k places target[k] in slot k by pairing the tightest bracketing
+    cells of the still-diagonal block: a, the smallest cell at or above
+    t = target[k], and b, the largest other cell at or below it.  One
+    rotation pair turns them into (t, a*b/t).  In the log domain a and b
+    are adjacent entries of the sorted cells and a + b - t lands between
+    them, so a prefix of the new cells equals either the old prefix or
+    the old prefix one longer minus t.  Checking the four cases (prefix
+    shorter or not than the position of a among the cells, and of t among
+    the targets) against the targets with t removed shows that the
+    remaining cells still majorize the remaining targets, whatever order
+    the targets come in.  (Pairing the overall largest with the overall
+    smallest cell can break this.)  Each step costs O(n), so the whole
+    decomposition is one SVD plus O(n^2).
     """
-    n = len(tau)
+    n = len(target)
     u = fac.u.copy()
     v = fac.v.copy()
     r = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(r, fac.sigma)
-    snap = 1e-12 * max(fac.sigma[0], 1.0)
     for k in range(n - 1):
-        t_k = tau[k]
+        t_k = target[k]
         cells = np.real(np.diag(r)[k:])
-        above = np.flatnonzero(cells >= t_k - snap)
-        if above.size:
-            p = k + int(above[np.argmin(cells[above])])
-        else:
-            p = k + int(np.argmax(cells))
+        above = np.flatnonzero(cells >= t_k * (1.0 - _SNAP))
+        p = k + int(above[np.argmin(cells[above])] if above.size else np.argmax(cells))
         _swap_positions(r, u, v, k, p)
         cells = np.real(np.diag(r)[k + 1:])
-        below = np.flatnonzero(cells <= t_k + snap)
-        if below.size:
-            q = k + 1 + int(below[np.argmax(cells[below])])
-        else:
-            q = k + 1 + int(np.argmin(cells))
+        below = np.flatnonzero(cells <= t_k * (1.0 + _SNAP))
+        q = k + 1 + int(below[np.argmax(cells[below])] if below.size else np.argmin(cells))
         _swap_positions(r, u, v, k + 1, q)
         d1 = r[k, k].real
         d2 = r[k + 1, k + 1].real
         t = min(max(t_k, min(d1, d2)), max(d1, d2))  # clamp roundoff at the edges
         _deflate(r, u, v, k, t)
-    r[n - 1, n - 1] = r[n - 1, n - 1].real
-    return u, r, v
-
-
-def _gtd2(block, first):
-    """2x2 triangularization of an arbitrary block with prescribed first
-    diagonal entry.  Returns (u, r, v) with block = u @ r @ v^H."""
-    fac = matcore.svd(block)
-    d1, d2 = fac.sigma
-    t = min(max(first, d2), d1)
-    u = fac.u.copy()
-    v = fac.v.copy()
-    r = np.zeros((2, 2), dtype=np.complex128)
-    np.fill_diagonal(r, fac.sigma)
-    _deflate(r, u, v, 0, t)
-    return u, r, v
-
-
-def _unsort_diag(u, r, v, want):
-    """Reorder the (descending) diagonal of r into the requested order
-    ``want`` by adjacent 2x2 re-triangularizations."""
-    n = len(want)
-    current = list(np.real(np.diag(r)))
-    for i in range(n):
-        # locate the still-unplaced entry closest to want[i]
-        best, best_err = None, None
-        for j in range(i, n):
-            err = abs(current[j] - want[i])
-            if best is None or err < best_err:
-                best, best_err = j, err
-        for m in range(best, i, -1):
-            # swap diagonal slots m-1 and m
-            block = r[m - 1:m + 1, m - 1:m + 1].copy()
-            bu, br, bv = _gtd2(block, current[m])
-            r[:, m - 1:m + 1] = r[:, m - 1:m + 1] @ bv
-            v[:, m - 1:m + 1] = v[:, m - 1:m + 1] @ bv
-            r[m - 1:m + 1, :] = bu.conj().T @ r[m - 1:m + 1, :]
-            u[:, m - 1:m + 1] = u[:, m - 1:m + 1] @ bu
-            r[m, m - 1] = 0.0
-            current[m - 1], current[m] = current[m], current[m - 1]
-            current[m - 1] = r[m - 1, m - 1].real
-            current[m] = r[m, m].real
-    return u, r, v
+    return GtdFactors(u=u, r=r, v=v, diag=np.real(np.diag(r)).copy())
 
 
 def gtd(a, target_diag):
-    """Unitary triangularization with prescribed positive diagonal.
+    """Unitary triangularization with prescribed positive diagonal, in the
+    order given.  Costs one SVD plus O(n^2).
 
     Raises MajorizationError (with the first failing prefix length) when
     sigma(a) does not multiplicatively majorize the target, and
@@ -237,13 +203,7 @@ def gtd(a, target_diag):
             "target diagonal not majorized by the singular values "
             "(first failing prefix length %d)" % bad,
             failing_prefix=bad)
-    order = np.argsort(-target, kind="stable")
-    tau = target[order]
-    u, r, v = _gtd_sorted(fac, tau)
-    if not np.array_equal(order, np.arange(n)):
-        u, r, v = _unsort_diag(u, r, v, target)
-    diag = np.real(np.diag(r)).copy()
-    return GtdFactors(u=u, r=r, v=v, diag=diag)
+    return _gtd_sweep(fac, target)
 
 
 def gmd(a):
@@ -252,10 +212,9 @@ def gmd(a):
     invertible input."""
     m, fac = _check_square_invertible(a)
     n = m.shape[0]
-    g = float(np.exp(np.mean(np.log(fac.sigma))))
-    u, r, v = _gtd_sorted(fac, np.full(n, g))
-    diag = np.real(np.diag(r)).copy()
-    return GtdFactors(u=u, r=r, v=v, diag=diag)
+    # relative to sigma[0]: exp of a log near +-350 would lose 1e-13
+    g = fac.sigma[0] * float(np.exp(np.mean(np.log(fac.sigma / fac.sigma[0]))))
+    return _gtd_sweep(fac, np.full(n, g))
 
 
 def check_multiplicity_conditions(sigma, values, mults, tol=matcore.TOL_MAJOR):
@@ -325,7 +284,7 @@ def block_gtd(a, spec):
                 "product of block determinants does not match det(a)",
                 failing_q=len(order))
     target = np.concatenate([np.full(sizes[i], d_roots[i]) for i in range(len(sizes))])
-    factors = gtd(m, target)
+    factors = _gtd_sweep(fac, target)
     boundaries = [int(b) for b in np.cumsum([0] + sizes[:-1])]
     return BlockGtdFactors(u=factors.u, r=factors.r, v=factors.v,
                            diag=factors.diag, boundaries=boundaries)

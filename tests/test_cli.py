@@ -71,6 +71,35 @@ def test_decompose_jet_rateless_closed_form(capsys):
     assert np.max(np.abs(ratios[0, :] - ratios[1, :])) < 1e-9
 
 
+def test_decompose_recon_rel_at_extreme_scale(capsys, monkeypatch):
+    # ||a|| overflows at this scale, so an unscaled residual reads 0
+    a = 1e160 * rand_complex(np.random.default_rng(16), 4)
+    args = ["decompose", "--kind", "gmd", "--tol", "1e-12"]
+    code, out, _ = run_cli(capsys, args, mat_json(a))
+    assert code == 0
+    assert 0.0 < json.loads(out)["residuals"]["recon_rel"] < 1e-12
+    gmd = cli.gtd_mod.gmd
+
+    def corrupted(m):
+        fac = gmd(m)
+        fac.r = fac.r * (1.0 + 1e-6)
+        return fac
+
+    monkeypatch.setattr(cli.gtd_mod, "gmd", corrupted)
+    code, _out, err = run_cli(capsys, args, mat_json(a))
+    assert code == cli.EXIT_NUMERICAL
+    assert "exceeds --tol" in err
+
+
+def test_decompose_jet_diag_spread_is_relative(capsys):
+    rng = np.random.default_rng(17)
+    mats = [mat_json(1e6 * rand_unit_det(rng, 4)) for _ in range(2)]
+    code, out, _ = run_cli(capsys, ["decompose", "--kind", "jet", "--tol", "1e-12"],
+                           {"matrices": mats})
+    assert code == 0
+    assert json.loads(out)["residuals"]["diag_spread"] < 1e-12
+
+
 def test_decompose_upper_lower_and_block(capsys):
     b = 2.0
     a1 = np.diag([b, 1.0 / b])

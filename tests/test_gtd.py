@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jtri import gtd, matcore
 from jtri.errors import (
@@ -296,3 +298,98 @@ def test_block_gtd_randomized_boundary_agreement():
         assert got == expected
         agreements += 1
     assert agreements == 100
+
+
+# --- extreme scales, ill-conditioning, arbitrary target order ----------------
+
+def _rel_recon(fac, a):
+    scale = np.max(np.abs(a))
+    return (np.linalg.norm((fac.u @ fac.r @ fac.v.conj().T - a) / scale)
+            / np.linalg.norm(a / scale))
+
+
+def _assert_factors(fac, a, target, tol=1e-12):
+    assert all(np.all(np.isfinite(m)) for m in (fac.u, fac.r, fac.v))
+    assert np.max(np.abs(fac.diag / target - 1.0)) <= tol
+    assert _rel_recon(fac, a) <= tol
+    assert np.max(np.abs(np.tril(fac.r, -1))) <= tol * np.max(np.abs(fac.r))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e-160, 1e-165, 1e-170])
+def test_gmd_extreme_scales(scale):
+    a = scale * rand_complex(np.random.default_rng(14), 4)
+    fac = gtd.gmd(a)
+    sig = matcore.svd(a).sigma
+    _assert_factors(fac, a, np.exp(np.mean(np.log(sig))))
+
+
+def _conditioned_input(rng, n, log_scale, log_cond):
+    """scale * U diag(s) V^H with 1 = s_1 >= ... >= s_n = 1/cond."""
+    s = np.sort(np.concatenate(([0.0, -log_cond], -log_cond * rng.random(n - 2))))[::-1]
+    return 10.0 ** log_scale * (rand_unitary(rng, n) * 10.0 ** s) @ rand_unitary(rng, n).conj().T
+
+
+def _scaled_target(sig, w):
+    """Feasible target at weight w between sigma (w=0) and its geometric
+    mean, taken relative to sigma[0] so exp never sees a log of size 300."""
+    logs = np.log(sig / sig[0])
+    return sig[0] * np.exp((1.0 - w) * logs + w * np.mean(logs))
+
+
+_extremes = dict(n=st.integers(2, 12), log_scale=st.floats(-150.0, 150.0),
+                 log_cond=st.floats(0.0, 11.0), seed=st.integers(0, 2 ** 32 - 1))
+_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_settings
+@given(**_extremes)
+def test_gmd_property_scale_and_conditioning(n, log_scale, log_cond, seed):
+    a = _conditioned_input(np.random.default_rng(seed), n, log_scale, log_cond)
+    sig = matcore.svd(a).sigma
+    _assert_factors(gtd.gmd(a), a, _scaled_target(sig, 1.0))
+
+
+@_settings
+@given(w=st.floats(0.0, 1.0), **_extremes)
+def test_gtd_property_scale_and_conditioning(n, log_scale, log_cond, seed, w):
+    rng = np.random.default_rng(seed)
+    a = _conditioned_input(rng, n, log_scale, log_cond)
+    t = _scaled_target(matcore.svd(a).sigma, w)
+    rng.shuffle(t)
+    _assert_factors(gtd.gtd(a, t), a, t)
+
+
+@_settings
+@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1), w=st.floats(0.0, 1.0),
+       ties=st.integers(1, 4), near=st.sampled_from([0.0, 1e-15, 1e-13, 1e-9]))
+def test_gtd_property_repeated_and_near_duplicate_targets(n, seed, w, ties, near):
+    """Pairs of target entries are pulled to their geometric mean, then
+    apart by a relative 'near' at most their old spread; both values stay
+    between the old ones, which keeps the target feasible."""
+    rng = np.random.default_rng(seed)
+    a = rand_complex(rng, n)
+    t = _scaled_target(matcore.svd(a).sigma, w)
+    for _ in range(ties):
+        i, j = rng.choice(n, size=2, replace=False)
+        m = np.sqrt(t[i] * t[j])
+        f = min(1.0 + near, np.sqrt(max(t[i], t[j]) / min(t[i], t[j])))
+        t[i], t[j] = m * f, m / f
+    rng.shuffle(t)
+    _assert_factors(gtd.gtd(a, t), a, t)
+
+
+def test_one_svd_per_decomposition(monkeypatch):
+    calls = []
+    svd = matcore.svd
+    monkeypatch.setattr(matcore, "svd", lambda m: calls.append(1) or svd(m))
+    rng = np.random.default_rng(15)
+    a = rand_complex(rng, 16)
+    sig = svd(a).sigma
+    t = _scaled_target(sig, 0.5)
+    rng.shuffle(t)
+    spec = gtd.BlockSpec(block_sizes=[4, 8, 4],
+                         block_dets=[np.prod(sig[:4]), np.prod(sig[4:12]), np.prod(sig[12:])])
+    for run in (lambda: gtd.gmd(a), lambda: gtd.gtd(a, t), lambda: gtd.block_gtd(a, spec)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
