@@ -13,7 +13,6 @@ Identical invocations (including --seed) produce byte-identical output.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -29,6 +28,7 @@ from .errors import (
     NumericalError,
     ParseError,
 )
+from .matcore import matrix_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,10 +98,6 @@ def _emit(args, obj, csv_text=None):
         sys.stdout.write(data)
 
 
-def _mat_json(a):
-    return matcore.matrix_to_json(a)
-
-
 def _check_tol(args, residuals):
     """Optional --tol gate: fail the run when any residual diagnostic
     exceeds the caller's bound."""
@@ -166,7 +162,7 @@ def _cmd_decompose(args):
         rec = _recon_rel(a, fac.u, fac.r, fac.v)
         out = {
             "kind": kind,
-            "u": _mat_json(fac.u), "r": _mat_json(fac.r), "v": _mat_json(fac.v),
+            "u": matrix_to_json(fac.u), "r": matrix_to_json(fac.r), "v": matrix_to_json(fac.v),
             "diag": [float(d) for d in fac.diag],
             "residuals": {"recon_rel": rec,
                           "triangularity": float(np.max(np.abs(np.tril(fac.r, -1))))},
@@ -192,8 +188,9 @@ def _cmd_decompose(args):
                 raise
         out = {
             "kind": kind,
-            "v": _mat_json(factors.v),
-            "users": [{"u": _mat_json(u), "r": _mat_json(r)} for u, r in factors.users],
+            "v": matrix_to_json(factors.v),
+            "users": [{"u": matrix_to_json(u), "r": matrix_to_json(r)}
+                      for u, r in factors.users],
             "diag": [float(d) for d in factors.diag],
             "residuals": _joint_diagnostics(mats, factors),
         }
@@ -213,9 +210,9 @@ def _cmd_decompose(args):
         v, u1, r1, u2, r2 = joint_mod.construct_upper_lower(a1, a2)
         out = {
             "kind": kind,
-            "v": _mat_json(v),
-            "users": [{"u": _mat_json(u1), "r": _mat_json(r1)},
-                      {"u": _mat_json(u2), "r": _mat_json(r2)}],
+            "v": matrix_to_json(v),
+            "users": [{"u": matrix_to_json(u1), "r": matrix_to_json(r1)},
+                      {"u": matrix_to_json(u2), "r": matrix_to_json(r2)}],
             "residuals": {
                 "recon_rel": max(_recon_rel(a1, u1, r1, v), _recon_rel(a2, u2, r2, v)),
                 "triangularity": max(float(abs(r1[1, 0])), float(abs(r2[0, 1]))),
@@ -247,8 +244,9 @@ def _cmd_spacetime(args):
         "efficiency": kept / total,
         "min_extensions": n ** exponent,
         "kept_indices": [int(i) for i in factors.kept_indices],
-        "v": _mat_json(factors.v),
-        "users": [{"u": _mat_json(u), "t": _mat_json(t)} for u, t in factors.users],
+        "v": matrix_to_json(factors.v),
+        "users": [{"u": matrix_to_json(u), "t": matrix_to_json(t)}
+                  for u, t in factors.users],
         "diag": [float(d) for d in factors.diag],
     }
     _emit(args, out)
@@ -289,9 +287,9 @@ def _cmd_examples(args):
         rates = multicast.scheme_rates(factors.diag)
         out = {
             "name": name, "rate": c,
-            "channels": [_mat_json(h) for h in hs],
-            "canonical": [_mat_json(g) for g in gs],
-            "precoder": _mat_json(factors.v),
+            "channels": [matrix_to_json(h) for h in hs],
+            "canonical": [matrix_to_json(g) for g in gs],
+            "precoder": matrix_to_json(factors.v),
             "diag": [float(d) for d in factors.diag],
             "total_rate": rates.total_rate,
             "multicast_rate": multicast.multicast_rate(prob),
@@ -305,15 +303,15 @@ def _cmd_examples(args):
         critical = 6.0 * np.log2((3.0 + np.sqrt(5.0)) / 2.0)
         out = {
             "name": name, "rate": c,
-            "reduced_pair": [_mat_json(a1), _mat_json(a2)],
+            "reduced_pair": [matrix_to_json(a1), matrix_to_json(a2)],
             "f1": joint_mod.f1(s1, s2),
             "feasible": bool(feasible),
             "critical_rate": critical,
         }
         if feasible:
             factors = joint_mod.construct_2gmd(a1, a2)
-            out["precoder"] = _mat_json(factors.v)
-            out["witness"] = _mat_json(factors.v[:, :1])
+            out["precoder"] = matrix_to_json(factors.v)
+            out["witness"] = matrix_to_json(factors.v[:, :1])
         else:
             out["note"] = "exact construction impossible above the critical rate"
     elif name == "permuted":
@@ -324,8 +322,8 @@ def _cmd_examples(args):
                                           power=float(len(gains)))
         out = {
             "name": name, "gains": gains,
-            "channels": [_mat_json(h) for h in channels],
-            "precoder": _mat_json(multicast.dft_precoder(len(gains))),
+            "channels": [matrix_to_json(h) for h in channels],
+            "precoder": matrix_to_json(multicast.dft_precoder(len(gains))),
             "multicast_rate": multicast.multicast_rate(prob),
         }
     elif name in ("dof2", "dof3"):
@@ -334,14 +332,14 @@ def _cmd_examples(args):
         out = {
             "name": name, "rate": args.rate,
             "gains": [float(g) for g in ex.gains],
-            "channels": [_mat_json(h) for h in ex.problem.users],
-            "canonical": [_mat_json(multicast.canonical_matrix(h, ex.problem.cov))
+            "channels": [matrix_to_json(h) for h in ex.problem.users],
+            "canonical": [matrix_to_json(multicast.canonical_matrix(h, ex.problem.cov))
                           for h in ex.problem.users],
-            "precoder": _mat_json(ex.precoder),
+            "precoder": matrix_to_json(ex.precoder),
             "multicast_rate": multicast.multicast_rate(ex.problem),
         }
         if ex.t_matrices is not None:
-            out["t_matrices"] = [_mat_json(t) for t in ex.t_matrices]
+            out["t_matrices"] = [matrix_to_json(t) for t in ex.t_matrices]
     else:
         raise ParseError("unknown example %r" % name)
     _emit(args, out)
@@ -420,10 +418,6 @@ def build_parser():
             p.add_argument("--inline", help="inline JSON input")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100000)
-        p.add_argument("--tol", type=float, default=None,
-                       help="report tolerance override (diagnostics only)")
 
     p = sub.add_parser("decompose", help="single- or multi-matrix decompositions")
     p.add_argument("--kind", required=True,
@@ -431,6 +425,8 @@ def build_parser():
     p.add_argument("--target", help="comma-separated diagonal for gtd")
     p.add_argument("--blocks", help="comma-separated block sizes for block")
     p.add_argument("--dets", help="comma-separated block determinants for block")
+    p.add_argument("--tol", type=float, default=None,
+                   help="fail the run (exit 4) when a residual exceeds this bound")
     add_io(p)
     p.set_defaults(func=_cmd_decompose)
 
@@ -454,6 +450,8 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="successive-cancellation link simulation")
     p.add_argument("--factors", choices=("gmd", "svd", "jet"), default="gmd")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=100000)
     add_io(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -461,8 +459,6 @@ def build_parser():
 
 
 def main(argv=None):
-    # single-threaded orchestration; the cap is honored trivially
-    os.environ.setdefault("JTRI_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

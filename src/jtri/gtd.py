@@ -77,21 +77,6 @@ def _check_square_invertible(a):
 _SNAP = 4 * np.finfo(float).eps
 
 
-def _first_failing_prefix(sigma, target, tol=matcore.TOL_MAJOR):
-    """1-based length of the first violated prefix (n = product mismatch), or None."""
-    ls = np.sort(np.log(sigma))[::-1]
-    lt = np.sort(np.log(target))[::-1]
-    cs = np.cumsum(ls)
-    ct = np.cumsum(lt)
-    n = len(ls)
-    for l in range(n - 1):
-        if ct[l] > cs[l] + tol:
-            return l + 1
-    if abs(ct[-1] - cs[-1]) > tol:
-        return n
-    return None
-
-
 def _rot(c, s):
     return np.array([[c, -s], [s, c]])
 
@@ -197,7 +182,7 @@ def gtd(a, target_diag):
         raise LengthMismatchError("target diagonal must have %d entries" % n)
     if np.any(target <= 0):
         raise NonPositiveEntryError("target diagonal must be positive")
-    bad = _first_failing_prefix(fac.sigma, target)
+    bad = matcore.first_failing_group(fac.sigma, np.log(target))
     if bad is not None:
         raise MajorizationError(
             "target diagonal not majorized by the singular values "
@@ -217,7 +202,7 @@ def gmd(a):
     return _gtd_sweep(fac, np.full(n, g))
 
 
-def check_multiplicity_conditions(sigma, values, mults, tol=matcore.TOL_MAJOR):
+def check_multiplicity_conditions(sigma, values, mults):
     """Feasibility of a target diagonal given as M distinct values with
     multiplicities: the M prefix conditions replace the full n.
 
@@ -238,13 +223,7 @@ def check_multiplicity_conditions(sigma, values, mults, tol=matcore.TOL_MAJOR):
         raise ShapeMismatchError("values must be strictly decreasing")
     if np.any(counts <= 0):
         raise ShapeMismatchError("multiplicities must be positive")
-    ls = np.cumsum(np.sort(np.log(sig))[::-1])
-    lhs = np.cumsum(counts * np.log(vals))
-    ends = np.cumsum(counts)
-    for q in range(vals.size - 1):
-        if lhs[q] > ls[ends[q] - 1] + tol:
-            return False
-    return bool(abs(lhs[-1] - ls[-1]) <= tol)
+    return matcore.first_failing_group(sig, counts * np.log(vals), counts) is None
 
 
 def block_gtd(a, spec):
@@ -265,24 +244,15 @@ def block_gtd(a, spec):
         raise ShapeMismatchError("block sizes must be positive and sum to %d" % n)
     if any(abs(d) == 0 for d in dets):
         raise ShapeMismatchError("block determinants must be nonzero")
-    d_roots = [abs(dets[i]) ** (1.0 / sizes[i]) for i in range(len(sizes))]
     # feasibility, stated on the blocks sorted by their determinant root
-    order = sorted(range(len(sizes)), key=lambda i: -d_roots[i])
-    ls = np.cumsum(np.sort(np.log(fac.sigma))[::-1])
-    acc = 0.0
-    count = 0
-    for qi, i in enumerate(order):
-        acc += np.log(abs(dets[i]))
-        count += sizes[i]
-        if qi < len(order) - 1:
-            if acc > ls[count - 1] + matcore.TOL_MAJOR:
-                raise BlockConditionError(
-                    "block determinant condition fails at q=%d" % (qi + 1),
-                    failing_q=qi + 1)
-        elif abs(acc - ls[-1]) > matcore.TOL_MAJOR:
-            raise BlockConditionError(
-                "product of block determinants does not match det(a)",
-                failing_q=len(order))
+    bad = matcore.first_failing_group(fac.sigma, np.log(np.abs(dets)), sizes)
+    if bad == len(sizes):
+        raise BlockConditionError("product of block determinants does not match det(a)",
+                                  failing_q=bad)
+    if bad is not None:
+        raise BlockConditionError("block determinant condition fails at q=%d" % bad,
+                                  failing_q=bad)
+    d_roots = [abs(dets[i]) ** (1.0 / sizes[i]) for i in range(len(sizes))]
     target = np.concatenate([np.full(sizes[i], d_roots[i]) for i in range(len(sizes))])
     factors = _gtd_sweep(fac, target)
     boundaries = [int(b) for b in np.cumsum([0] + sizes[:-1])]

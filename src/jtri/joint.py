@@ -33,14 +33,32 @@ from .gtd import gmd
 
 @dataclass
 class JointFactors:
-    """Shared right factor plus per-user left/triangular pairs.
+    """Shared right factor plus per-user left/triangular pairs, for exact
+    and for time-extension constructions alike.
 
-    For every user k:  a_k = u_k @ r_k @ v^H, all r_k upper-triangular
-    with the common real positive diagonal ``diag``.
+    For every user k:  u_k^H ext(a_k) v = r_k, upper-triangular with the
+    common real positive diagonal ``diag``, where ext(a_k) is the
+    block-diagonal ``n_ext``-fold time extension of a_k (a_k itself for
+    n_ext = 1).  Exact constructions (n_ext = 1, ``kept_indices`` None)
+    have square unitary factors, so a_k = u_k @ r_k @ v^H.  The spacetime
+    constructions return v and every u_k with n*n_ext rows and orthonormal
+    columns, one per kept coordinate; ``kept_indices`` maps those back to
+    1-based positions of the extended space.
     """
     v: np.ndarray
     users: list          # [(u_k, r_k), ...]
     diag: np.ndarray
+    n_ext: int = 1
+    kept_indices: list | None = None
+
+    @property
+    def n(self):
+        """Size of one block: the rows of v per channel use."""
+        return self.v.shape[0] // self.n_ext
+
+    @property
+    def kept_dim(self):
+        return self.v.shape[1]
 
 
 @dataclass
@@ -86,11 +104,20 @@ def normalize_equal_det(matrices):
     return scaled, factors
 
 
-def _equal_absdet_or_raise(mats, tol=matcore.TOL_MAJOR):
+def _equal_absdet_or_raise(mats):
     logs = [np.log(abs(np.linalg.det(m)) + 1e-300) for m in mats]
-    if max(logs) - min(logs) > mats[0].shape[0] * tol * 10 + tol:
+    if max(logs) - min(logs) > (10 * mats[0].shape[0] + 1) * matcore.TOL_MAJOR:
         raise BadDeterminantError(
             "matrices must have equal |det| (log spread %.3g)" % (max(logs) - min(logs)))
+
+
+def _check_unit_absdet(mats):
+    """The unit-|det| precondition of the unit-diagonal constructions; a
+    singular matrix fails it too."""
+    for m in mats:
+        d = abs(np.linalg.det(m))
+        if not abs(d - 1.0) <= 1e-6:
+            raise BadDeterminantError("matrices must have unit |det| (got %.6g)" % d)
 
 
 def _hermitian_2x2_or_raise(s):
@@ -238,10 +265,7 @@ def _check_unit_det_pair(a1, a2):
     m2 = matcore.as_cmatrix(a2)
     if m1.shape != (2, 2) or m2.shape != (2, 2):
         raise ShapeMismatchError("expected 2x2 matrices")
-    for m in (m1, m2):
-        if abs(abs(_det2(m)) - 1.0) > 1e-6:
-            raise BadDeterminantError("matrices must have |det| = 1 (got %.6g)"
-                                      % abs(_det2(m)))
+    _check_unit_absdet([m1, m2])
     return m1, m2
 
 
@@ -302,9 +326,7 @@ def kgmd_exact(matrices):
     if not mats:
         raise ShapeMismatchError("need at least one matrix")
     _equal_absdet_or_raise(mats)
-    for m in mats:
-        if abs(abs(np.linalg.det(m)) - 1.0) > 1e-6:
-            raise BadDeterminantError("kgmd_exact expects unit |det| input")
+    _check_unit_absdet(mats)
     if len(mats) == 1:
         fac = gmd(mats[0])
         return JointFactors(v=fac.v, users=[(fac.u, fac.r)], diag=fac.diag)
@@ -330,8 +352,11 @@ def kgmd_to_kjet(matrices, inner=None):
     """Equi-diagonal triangularization of K+1 matrices via unit-diagonal
     triangularization of the K quotients against the last matrix.
 
-    ``inner`` supplies the joint unit-diagonal step (default kgmd_exact);
-    NotConstructibleError from it propagates.
+    ``inner`` supplies the joint unit-diagonal step (default kgmd_exact;
+    spacetime.nearly_kjet passes nearly_kgmd at a fixed n_ext);
+    NotConstructibleError from it propagates.  The last matrix's inverse
+    is time-extended to the inner result's n_ext, which carries over to
+    the result along with its kept_indices.
     """
     mats, n = _check_square_set(matrices)
     if len(mats) < 2:
@@ -347,13 +372,13 @@ def kgmd_to_kjet(matrices, inner=None):
     quotients = [m @ last_inv for m in mats[:-1]]
     core = inner(quotients)
     u_last = core.v
-    fac = matcore.qr(last_inv @ u_last)
-    v = fac.q
+    fac = matcore.qr(matcore.time_extend(last_inv, core.n_ext) @ u_last)
     r_hat_inv = np.linalg.inv(fac.r)
     users = [(u_k, t_k @ r_hat_inv) for (u_k, t_k) in core.users]
     users.append((u_last, r_hat_inv))
     diag = 1.0 / np.real(np.diag(fac.r))
-    return JointFactors(v=v, users=users, diag=diag)
+    return JointFactors(v=fac.q, users=users, diag=diag, n_ext=core.n_ext,
+                        kept_indices=core.kept_indices)
 
 
 def jet2(a1, a2):
@@ -418,7 +443,7 @@ def construct_upper_lower(a1, a2):
     return v, u1, r1, u2, r2
 
 
-def joint_block_feasible(a1, a2, block_sizes, det_ratios, tol=matcore.TOL_MAJOR):
+def joint_block_feasible(a1, a2, block_sizes, det_ratios):
     """Feasibility of joint block-triangularization of an invertible pair
     with prescribed per-block determinant ratios.
 
@@ -440,19 +465,6 @@ def joint_block_feasible(a1, a2, block_sizes, det_ratios, tol=matcore.TOL_MAJOR)
     mu = matcore.svd(quotient).sigma
     if mu[-1] <= 0:
         raise SingularMatrixError("first matrix is singular")
-    d_roots = [abs(ratios[i]) ** (1.0 / sizes[i]) for i in range(len(sizes))]
-    order = sorted(range(len(sizes)), key=lambda i: -d_roots[i])
-    lmu = np.cumsum(np.log(mu))
-    acc = 0.0
-    count = 0
-    for qi, i in enumerate(order):
-        if abs(ratios[i]) == 0:
-            return False
-        acc += np.log(abs(ratios[i]))
-        count += sizes[i]
-        if qi < len(order) - 1:
-            if acc > lmu[count - 1] + tol:
-                return False
-        elif abs(acc - lmu[-1]) > tol:
-            return False
-    return True
+    if any(abs(x) == 0 for x in ratios):
+        return False
+    return matcore.first_failing_group(mu, np.log(np.abs(ratios)), sizes) is None

@@ -25,9 +25,7 @@ from .errors import (
 )
 
 # Shared tolerances (absolute on unit-scaled data unless noted).
-TOL_UNITARY = 1e-9
 TOL_ZERO = 1e-9
-TOL_RECON = 1e-9      # relative
 TOL_RANK = 1e-12      # relative
 TOL_MAJOR = 1e-9      # on log-products
 
@@ -178,11 +176,36 @@ def embed(n, b, index_groups):
     return out
 
 
-def majorizes(x, y, tol=TOL_MAJOR):
+def first_failing_group(sigma, log_products, sizes=None):
+    """The multiplicative-majorization test behind every feasibility check.
+
+    The target is given as groups: group i holds ``sizes[i]`` entries
+    (default 1 each) whose logs sum to ``log_products[i]``.  Taking the
+    groups in decreasing order of their mean log, the prefix log-product
+    after each group must not exceed that of as many of the largest
+    ``sigma`` by more than TOL_MAJOR, and the totals must agree to within
+    TOL_MAJOR.  Returns the 1-based position, in that order, of the first
+    group whose condition fails (the last group for a total mismatch), or
+    None when ``sigma`` majorizes the target.
+    """
+    logs = np.asarray(log_products, dtype=float)
+    counts = np.ones(logs.size, dtype=int) if sizes is None else np.asarray(sizes, dtype=int)
+    order = np.argsort(-logs / counts, kind="stable")
+    lhs = np.cumsum(logs[order])
+    rhs = np.cumsum(np.sort(np.log(sigma))[::-1])[np.cumsum(counts[order]) - 1]
+    bad = np.flatnonzero(lhs[:-1] > rhs[:-1] + TOL_MAJOR)
+    if bad.size:
+        return int(bad[0]) + 1
+    if abs(lhs[-1] - rhs[-1]) > TOL_MAJOR:
+        return lhs.size
+    return None
+
+
+def majorizes(x, y):
     """Multiplicative majorization x >= y.
 
     True iff the sorted prefix products of x dominate those of y and the
-    total products agree, compared on the log scale with ``tol`` slack
+    total products agree, compared on the log scale with TOL_MAJOR slack
     (so exact boundary cases such as the constant-diagonal target pass).
     """
     xv = np.asarray(x, dtype=float)
@@ -193,13 +216,7 @@ def majorizes(x, y, tol=TOL_MAJOR):
         return True
     if np.any(xv <= 0) or np.any(yv <= 0):
         raise NonPositiveEntryError("majorization is defined for positive vectors")
-    lx = np.sort(np.log(xv))[::-1]
-    ly = np.sort(np.log(yv))[::-1]
-    cx = np.cumsum(lx)
-    cy = np.cumsum(ly)
-    if abs(cx[-1] - cy[-1]) > tol:
-        return False
-    return bool(np.all(cx[:-1] >= cy[:-1] - tol))
+    return first_failing_group(xv, np.log(yv)) is None
 
 
 # --- JSON interchange --------------------------------------------------------

@@ -26,8 +26,6 @@ from .errors import (
     ShapeMismatchError,
     TooManyUsersError,
 )
-from .joint import JointFactors
-from .spacetime import SpaceTimeFactors
 
 
 @dataclass
@@ -155,21 +153,6 @@ def scheme_rates(diag, n_ext=1):
                        total_rate=float(np.sum(rate)) / int(n_ext))
 
 
-def _factor_views(problem, factors):
-    """Per-user (u, n_ext) views of JointFactors or SpaceTimeFactors."""
-    if isinstance(factors, JointFactors):
-        if len(factors.users) != len(problem.users):
-            raise DimensionMismatchError("one factor pair per user required")
-        return [(u, 1) for (u, _r) in factors.users]
-    if isinstance(factors, SpaceTimeFactors):
-        if factors.k_users != len(problem.users):
-            raise DimensionMismatchError("one factor pair per user required")
-        if factors.n != problem.n_t:
-            raise DimensionMismatchError("factor block size differs from n_t")
-        return [(u, factors.n_ext) for (u, _t) in factors.users]
-    raise DimensionMismatchError("unsupported factors object")
-
-
 def simulate_sic(problem, factors, trials, seed, noise=True):
     """Monte-Carlo measurement of the per-stream SNR seen by the
     successive-cancellation receiver, one report per user.
@@ -186,28 +169,31 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
     counter-based generator in a fixed order, and the estimator uses
     numpy reductions only.
 
-    For square (exact) factors the measured SNR converges to the
-    prediction on every stream.  For rectangular time-extension factors
-    the interior streams behave the same way, but the few streams
-    adjacent to the discarded coordinates can deviate, since the exact
-    cancellation identity involves the dropped subspace.
+    ``factors`` is a joint.JointFactors with one (u, r) pair per user;
+    with n_ext > 1 each channel is time-extended n_ext times.  For square
+    (exact) factors the measured SNR converges to the prediction on every
+    stream.  For rectangular time-extension factors the interior streams
+    behave the same way, but the few streams adjacent to the discarded
+    coordinates can deviate, since the exact cancellation identity
+    involves the dropped subspace.
     """
     if trials < 1:
         raise DimensionMismatchError("trials must be positive")
-    views = _factor_views(problem, factors)
+    if len(factors.users) != len(problem.users):
+        raise DimensionMismatchError("one factor pair per user required")
     v = factors.v
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     m_streams = v.shape[1]
     x_sym = (rng.standard_normal((m_streams, trials))
              + 1j * rng.standard_normal((m_streams, trials))) / np.sqrt(2.0)
     reports = []
-    for (h, (u, n_ext)) in zip(problem.users, views):
+    for (h, (u, _r)) in zip(problem.users, factors.users):
         qfac = _augmented_qr(h, problem.cov)
         g = qfac.r
         q1 = qfac.q[:h.shape[0], :]
-        if n_ext > 1:
-            q1 = matcore.time_extend(q1, n_ext)
-            g = matcore.time_extend(g, n_ext)
+        if factors.n_ext > 1:
+            q1 = matcore.time_extend(q1, factors.n_ext)
+            g = matcore.time_extend(g, factors.n_ext)
         if u.shape[0] != g.shape[0] or v.shape[0] != g.shape[0]:
             raise DimensionMismatchError("factor height differs from extended n_t")
         front = u.conj().T @ q1.conj().T          # m x (n_r * n_ext)

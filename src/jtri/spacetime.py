@@ -15,45 +15,29 @@ provably leaves them untouched (the positive-diagonal QR of c*I times a
 unitary returns the unitary itself).  The reordering drops a fixed number
 of edge coordinates per round, independent of N, which is why the
 efficiency (kept / total) approaches one as N grows.
-"""
 
-from dataclasses import dataclass
+Both constructions return joint.JointFactors with ``n_ext`` set and
+``kept_indices`` naming the retained coordinates; nearly_kjet is
+joint.kgmd_to_kjet with nearly_kgmd as its inner step.
+"""
 
 import numpy as np
 
 from . import matcore
 from .errors import (
-    BadDeterminantError,
     FormMismatchError,
     ShapeMismatchError,
-    SingularMatrixError,
     TooFewExtensionsError,
     UnachievableFractionError,
 )
 from .gtd import gmd
-from .joint import _check_square_set, exists_2gmd
-
-
-@dataclass
-class SpaceTimeFactors:
-    """Rectangular joint factors for N-fold extended matrices.
-
-    v and every u_k have orthonormal columns (n*N rows); each t_k is the
-    square upper-triangular u_k^H A_k_extended v.  ``kept_indices`` maps
-    the retained coordinates back to 1-based positions of the extended
-    space (useful for cross-checking which edge coordinates were dropped).
-    """
-    n: int
-    k_users: int
-    n_ext: int
-    v: np.ndarray
-    users: list          # [(u_k, t_k), ...]
-    kept_indices: list
-    diag: np.ndarray
-
-    @property
-    def kept_dim(self):
-        return self.v.shape[1]
+from .joint import (
+    JointFactors,
+    _check_square_set,
+    _check_unit_absdet,
+    exists_2gmd,
+    kgmd_to_kjet,
+)
 
 
 def _reorder_indices(n, n_users, n_ext, round_l):
@@ -87,20 +71,15 @@ def nearly_kgmd(matrices, n_ext):
     """Joint unit-diagonal triangularization of N-fold extended matrices.
 
     Input matrices must be square, equal size, unit |det| (normalize
-    first), and n_ext >= n^(K-1).  The factors have orthonormal columns,
-    the triangular parts are n*(n_ext - (n^(K-1) - 1)) wide with all
-    diagonal entries 1.
+    first), and n_ext >= n^(K-1).  Returns JointFactors whose v and u_k
+    have n*n_ext rows and orthonormal columns; the triangular parts are
+    n*(n_ext - (n^(K-1) - 1)) wide with all diagonal entries 1.
     """
     mats, n = _check_square_set(matrices)
     if not mats:
         raise ShapeMismatchError("need at least one matrix")
     k_users = len(mats)
-    for m in mats:
-        d = abs(np.linalg.det(m))
-        if not d > 0:
-            raise SingularMatrixError("matrices must be invertible")
-        if abs(d - 1.0) > 1e-6:
-            raise BadDeterminantError("matrices must have unit |det| (got %.6g)" % d)
+    _check_unit_absdet(mats)
     min_ext = n ** (k_users - 1)
     n_ext = int(n_ext)
     if n_ext < min_ext:
@@ -133,36 +112,15 @@ def nearly_kgmd(matrices, n_ext):
 
     diag = np.real(np.diag(t_mats[0]))
     users = list(zip(u_mats, t_mats))
-    return SpaceTimeFactors(n=n, k_users=k_users, n_ext=n_ext, v=v_total,
-                            users=users, kept_indices=coords, diag=diag)
+    return JointFactors(v=v_total, users=users, diag=diag, n_ext=n_ext,
+                        kept_indices=coords)
 
 
 def nearly_kjet(matrices, n_ext):
-    """Equi-diagonal variant for K+1 matrices with equal |det|, built by
-    reducing to nearly_kgmd of the K quotients against the last matrix."""
-    mats, n = _check_square_set(matrices)
-    if len(mats) < 2:
-        raise ShapeMismatchError("need at least two matrices")
-    dets = [abs(np.linalg.det(m)) for m in mats]
-    if not all(d > 0 for d in dets):
-        raise SingularMatrixError("matrices must be invertible")
-    spread = max(dets) - min(dets)
-    if spread > 1e-6 * (1 + max(dets)):
-        raise BadDeterminantError("matrices must have equal |det|")
-    last = mats[-1]
-    last_inv = np.linalg.inv(last)
-    quotients = [m @ last_inv for m in mats[:-1]]
-    core = nearly_kgmd(quotients, n_ext)
-    last_ext_inv = matcore.time_extend(last_inv, n_ext)
-    fac = matcore.qr(last_ext_inv @ core.v)
-    v = fac.q
-    r_hat_inv = np.linalg.inv(fac.r)
-    users = [(u_k, t_k @ r_hat_inv) for (u_k, t_k) in core.users]
-    users.append((core.v, r_hat_inv))
-    diag = 1.0 / np.real(np.diag(fac.r))
-    return SpaceTimeFactors(n=n, k_users=len(mats), n_ext=int(n_ext), v=v,
-                            users=users, kept_indices=core.kept_indices,
-                            diag=diag)
+    """Equi-diagonal variant for K+1 matrices with equal |det|: the
+    quotient reduction of joint.kgmd_to_kjet with nearly_kgmd of the K
+    quotients as its inner step."""
+    return kgmd_to_kjet(matrices, inner=lambda quotients: nearly_kgmd(quotients, n_ext))
 
 
 def extension_futile_2x2(a1, a2):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from jtri import cli, matcore
 from util import rand_complex, rand_unit_det
@@ -98,6 +99,20 @@ def test_decompose_jet_diag_spread_is_relative(capsys):
                            {"matrices": mats})
     assert code == 0
     assert json.loads(out)["residuals"]["diag_spread"] < 1e-12
+
+
+_EYE = json.dumps(mat_json(np.eye(2)))
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--kind", "gmd", "--seed", "1", "--inline", _EYE],
+    ["spacetime", "--extensions", "4", "--tol", "1e-9", "--inline", _EYE],
+    ["tables", "--trials", "10"],
+])
+def test_flags_outside_their_command_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
 
 
 def test_decompose_upper_lower_and_block(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtri import gtd, matcore
+from jtri import gtd, joint, matcore
 from jtri.errors import (
     BlockConditionError,
     MajorizationError,
@@ -11,7 +11,13 @@ from jtri.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from util import rand_complex, rand_unit_det, rand_unitary, recon_error
+from util import (
+    majorization_reference,
+    rand_complex,
+    rand_unit_det,
+    rand_unitary,
+    recon_error,
+)
 
 
 def feasible_target(rng, sigma, shuffle=True):
@@ -393,3 +399,67 @@ def test_one_svd_per_decomposition(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+# --- the majorization kernel against the plain-loop reference ----------------
+
+
+def _group_case(rng, m, unit, kind):
+    """sigma and shuffled (dets, sizes) groups: random roots, a feasible
+    target grouped into runs of its sorted entries (w = 0 puts every
+    condition on the boundary), the same with one group moved by up to
+    three times TOL_MAJOR on the log scale, the constant GMD target, or
+    two repeated roots.  Random and tied roots are scaled to the total of
+    sigma half of the time, so every group position can fail first."""
+    sizes = [1] * m if unit else [int(s) for s in rng.integers(1, 4, size=m)]
+    n = sum(sizes)
+    sigma = np.sort(np.exp(rng.normal(0.0, 1.5, n)))[::-1]
+    sigma[:rng.integers(1, n + 1)] = sigma[0]  # a leading run of ties
+    logs = np.log(sigma)
+    if kind in ("feasible", "edge"):
+        w = 0.0 if kind == "edge" else rng.choice([0.0, rng.random(), 1.0])
+        t = (1.0 - w) * logs + w * np.mean(logs)
+        ends = np.cumsum(sizes)
+        log_dets = np.array([np.sum(t[e - s:e]) for s, e in zip(sizes, ends)])
+        if kind == "edge":
+            log_dets[rng.integers(m)] += rng.uniform(-3.0, 3.0) * matcore.TOL_MAJOR
+    elif kind == "gmd":
+        log_dets = np.mean(logs) * np.array(sizes)
+    else:
+        if kind == "ties":
+            roots = rng.choice(rng.normal(0.0, 1.5, 2), size=m)
+        else:
+            roots = rng.normal(0.0, 1.5, m)
+        log_dets = roots * np.array(sizes)
+        if rng.random() < 0.5:
+            log_dets += (np.sum(logs) - np.sum(log_dets)) * np.array(sizes) / n
+    perm = rng.permutation(m)
+    return sigma, np.exp(log_dets[perm]), [sizes[i] for i in perm]
+
+
+@_settings
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), unit=st.booleans(),
+       kind=st.sampled_from(["random", "feasible", "edge", "gmd", "ties"]))
+def test_first_failing_group_matches_reference(seed, m, unit, kind):
+    sigma, dets, sizes = _group_case(np.random.default_rng(seed), m, unit, kind)
+    want = majorization_reference(sigma, dets, sizes)
+    assert matcore.first_failing_group(sigma, np.log(dets), sizes) == want
+    a = np.diag(sigma).astype(complex)
+    n = a.shape[0]
+    assert joint.joint_block_feasible(a, np.eye(n), sizes, dets) == (want is None)
+    spec = gtd.BlockSpec(block_sizes=sizes, block_dets=list(dets))
+    if want is None:
+        gtd.block_gtd(a, spec)
+    else:
+        with pytest.raises(BlockConditionError) as err:
+            gtd.block_gtd(a, spec)
+        assert err.value.failing_q == want
+    if unit:
+        assert matcore.first_failing_group(sigma, np.log(dets)) == want
+        assert matcore.majorizes(sigma, dets) == (want is None)
+        if want is None:
+            gtd.gtd(a, dets)
+        else:
+            with pytest.raises(MajorizationError) as err:
+                gtd.gtd(a, dets)
+            assert err.value.failing_prefix == want

@@ -3,15 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from jtri import gtd, joint, matcore, multicast
+from jtri import gtd, joint, matcore, multicast, spacetime
 from jtri.errors import (
     BadKError,
     DiagBelowOneError,
+    DimensionMismatchError,
     NotPsdError,
     ShapeMismatchError,
     TooManyUsersError,
 )
-from util import rand_complex
+from util import rand_complex, rand_unitary
 
 
 def white_problem(users, power=None):
@@ -190,6 +191,27 @@ def test_simulate_sic_deterministic():
     r1 = multicast.simulate_sic(prob, jf, trials=4000, seed=9)[0]
     r2 = multicast.simulate_sic(prob, jf, trials=4000, seed=9)[0]
     assert np.array_equal(r1.measured_snr, r2.measured_snr)
+
+
+@pytest.mark.parametrize("n_ext", [4, 8])
+def test_simulate_sic_time_extension_factors(n_ext):
+    # three equal-rate users: rotations of one pair of singular values
+    rng = np.random.default_rng(0)
+    users = [rand_unitary(rng, 2) @ np.diag([3.0, 1.5]) @ rand_unitary(rng, 2).conj().T
+             for _ in range(3)]
+    prob = white_problem(users, power=2.0)
+    gs = [multicast.canonical_matrix(h, prob.cov) for h in users]
+    fac = spacetime.nearly_kjet(gs, n_ext)
+    reports = multicast.simulate_sic(prob, fac, trials=20000, seed=11)
+    assert len(reports) == 3
+    for r in reports:
+        assert len(r.predicted_snr) == fac.kept_dim
+        assert np.allclose(r.predicted_snr, fac.diag ** 2 - 1.0, atol=1e-9)
+        # the first n streams border the discarded coordinates and may deviate
+        gap = np.abs(r.measured_snr - r.predicted_snr)[fac.n:]
+        assert np.all(gap <= 4.0 * r.std_error[fac.n:])
+    with pytest.raises(DimensionMismatchError):
+        multicast.simulate_sic(white_problem(users[:2], power=2.0), fac, trials=10, seed=0)
 
 
 def test_rateless_channels_shapes_and_gains():

@@ -110,6 +110,18 @@ def test_nearly_kjet_two_matrices_one_extension_is_exact_jet():
     assert_spacetime_invariants(fac, [a1, a2], unit_diag=False)
 
 
+def test_spacetime_determinant_preconditions():
+    rng = np.random.default_rng(8)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    spread = [mats[0], mats[1] * np.sqrt(1.0 + 1e-3), mats[2]]   # |det| spread 1e-3
+    singular = [mats[0], np.diag([1.0, 0.0]), mats[2]]
+    for bad in (spread, singular):
+        with pytest.raises(BadDeterminantError):
+            spacetime.nearly_kjet(bad, 2)
+    with pytest.raises(BadDeterminantError):
+        spacetime.nearly_kgmd(singular, 4)
+
+
 def test_nearly_kjet_dof_mismatch_three_users_two_extensions():
     # three canonical matrices of the degrees-of-freedom-mismatch family,
     # scaled to unit determinant; two channel uses give 50% efficiency

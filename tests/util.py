@@ -141,3 +141,33 @@ def extended_gmd_residual(rng, a1, a2, n_ext=2, n_starts=24):
                                 "maxiter": 3000, "maxfev": 6000})
         best = min(best, res.fun)
     return best
+
+
+# --- majorization reference ---------------------------------------------------
+
+
+def majorization_reference(sigma, dets, sizes):
+    """1-based index of the first failing block condition, or None.
+
+    A plain loop over the groups, kept apart from the library's kernel:
+    group i holds sizes[i] entries whose product is dets[i] > 0.  Groups
+    are taken by decreasing root dets[i] ** (1 / sizes[i]); after each one
+    the accumulated log-product must not exceed that of as many of the
+    largest sigma by more than TOL_MAJOR, and after the last one the
+    totals must agree to within TOL_MAJOR.
+    """
+    tol = matcore.TOL_MAJOR
+    d_roots = [dets[i] ** (1.0 / sizes[i]) for i in range(len(sizes))]
+    order = sorted(range(len(sizes)), key=lambda i: -d_roots[i])
+    ls = np.cumsum(np.sort(np.log(sigma))[::-1])
+    acc = 0.0
+    count = 0
+    for qi, i in enumerate(order):
+        acc += np.log(dets[i])
+        count += sizes[i]
+        if qi < len(order) - 1:
+            if acc > ls[count - 1] + tol:
+                return qi + 1
+        elif abs(acc - ls[-1]) > tol:
+            return len(order)
+    return None
