@@ -51,6 +51,11 @@ class NotPsdError(NumericalError):
     """Matrix expected to be positive semidefinite is not."""
 
 
+class NotBlockTriangularError(NumericalError):
+    """Matrix expected to be block upper triangular has a nonzero entry
+    below its diagonal blocks."""
+
+
 # --- infeasible ------------------------------------------------------------
 
 class MajorizationError(InfeasibleError):

@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonPositiveEntryError,
+    NotBlockTriangularError,
     NotFiniteError,
     NotSquareError,
     NoConvergenceError,
@@ -53,6 +54,24 @@ class SvdFactors:
     v: np.ndarray       # a = u @ diag(sigma) @ v.conj().T
 
 
+def _positive_diagonal(q, r, scale):
+    """The QR convention shared by qr and block_qr, on one factor pair or a
+    stack of them: a diagonal entry of R at or below TOL_RANK * scale is
+    rank deficiency; otherwise unit phases move from R's diagonal into Q's
+    columns, leaving it real and positive, with exact zeros below it."""
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.any(np.abs(diag) <= TOL_RANK * scale):
+        raise RankDeficientError("column residual below %g of the input norm" % TOL_RANK)
+    phases = diag / np.abs(diag)
+    q = q * phases[..., np.newaxis, :]
+    r = phases.conj()[..., :, np.newaxis] * r
+    cols = r.shape[-1]
+    r[..., np.tri(cols, k=-1, dtype=bool)] = 0.0
+    idx = np.arange(cols)
+    r[..., idx, idx] = r[..., idx, idx].real
+    return q, r
+
+
 def qr(a):
     """Thin QR with the positive-diagonal convention.
 
@@ -66,18 +85,41 @@ def qr(a):
     if cols > rows:
         raise RankDeficientError("more columns (%d) than rows (%d)" % (cols, rows))
     q, r = np.linalg.qr(m, mode="reduced")
-    scale = np.linalg.norm(m) + 1.0e-300
-    diag = np.diag(r).copy()
-    if np.any(np.abs(diag) <= TOL_RANK * scale):
-        raise RankDeficientError("column residual below %g of the input norm" % TOL_RANK)
-    phases = diag / np.abs(diag)
-    q = q * phases[np.newaxis, :]
-    r = phases.conj()[:, np.newaxis] * r
-    # exact zeros below the diagonal, exact real diagonal
-    r[np.tril_indices(cols, -1)] = 0.0
-    idx = np.arange(cols)
-    r[idx, idx] = r[idx, idx].real
+    q, r = _positive_diagonal(q, r, np.linalg.norm(m) + 1.0e-300)
     return QrFactors(q=q, r=r)
+
+
+def block_qr(a, n):
+    """QR of a square matrix that is upper triangular in aligned n x n blocks.
+
+    Such a matrix is blockdiag(Q_1, ..., Q_G) @ R: each Q_j is the QR
+    factor of the diagonal block a_jj alone, and block row j of R is
+    Q_j^H times block row j of ``a``.  Returns the (G, n, n) stack of the
+    Q_j and the dense R, under the same conventions as :func:`qr` (finite
+    input, rank threshold relative to the norm of all of ``a``, real
+    positive diagonal, exact zeros below it), for O(n * (nG)^2) work
+    instead of O((nG)^3).  A nonzero entry in the strict block-lower part
+    raises NotBlockTriangularError: it is never dropped.
+    """
+    m = as_cmatrix(a)
+    size = m.shape[0]
+    if m.shape[1] != size:
+        raise NotSquareError("block_qr needs a square matrix")
+    if n < 1 or size % n:
+        raise LengthMismatchError("size %d is not a multiple of the block size %r" % (size, n))
+    g = size // n
+    block_of = np.arange(size) // n
+    below = block_of[:, np.newaxis] > block_of[np.newaxis, :]
+    if np.any(m[below]):
+        raise NotBlockTriangularError(
+            "nonzero entries below the %d x %d diagonal blocks" % (n, n))
+    idx = np.arange(g)
+    q, r_diag = np.linalg.qr(m.reshape(g, n, g, n)[idx, :, idx, :])
+    q, r_diag = _positive_diagonal(q, r_diag, np.linalg.norm(m) + 1.0e-300)
+    r = np.matmul(q.conj().transpose(0, 2, 1), m.reshape(g, n, size)).reshape(size, size)
+    r[below] = 0.0
+    r.reshape(g, n, g, n)[idx, :, idx, :] = r_diag
+    return q, r
 
 
 def svd(a):
@@ -120,30 +162,46 @@ def adjugate(a):
 
 
 def time_extend(a, n_ext):
-    """Block-diagonal matrix with ``n_ext`` copies of ``a``."""
+    """Block-diagonal matrix with ``n_ext`` copies of ``a``.
+
+    The blocks are copied into zeros: a Kronecker product with I would
+    multiply O(n_ext^2) blocks of zeros and leave -0.0 wherever ``a`` has
+    a negative part.
+    """
     m = as_cmatrix(a)
     if n_ext < 1:
         raise LengthMismatchError("n_ext must be >= 1")
-    return np.kron(np.eye(n_ext), m)
+    rows, cols = m.shape
+    out = np.zeros((n_ext, rows, n_ext, cols), dtype=np.complex128)
+    idx = np.arange(n_ext)
+    out[idx, :, idx, :] = m
+    return out.reshape(n_ext * rows, n_ext * cols)
+
+
+def positions(n, indices):
+    """0-based int array of the 1-based ``indices``, each in 1..n and
+    none listed twice."""
+    idx = list(indices)
+    seen = set()
+    for i in idx:
+        if not 1 <= i <= n:
+            raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
+        if i in seen:
+            raise DuplicateIndexError("index %r listed twice" % (i,))
+        seen.add(i)
+    return np.array(idx, dtype=np.int64) - 1
 
 
 def extraction_matrix(n, indices):
     """n-by-k matrix whose columns are the listed standard basis vectors.
 
     ``indices`` are 1-based and must be distinct.  E^H A E picks out the
-    submatrix of A at those index pairs, in the listed order.
+    submatrix of A at those index pairs, in the listed order, which is
+    A[np.ix_(p, p)] for p = positions(n, indices).
     """
-    idx = list(indices)
-    k = len(idx)
-    out = np.zeros((n, k), dtype=np.complex128)
-    seen = set()
-    for col, i in enumerate(idx):
-        if not 1 <= i <= n:
-            raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
-        if i in seen:
-            raise DuplicateIndexError("index %r listed twice" % (i,))
-        seen.add(i)
-        out[i - 1, col] = 1.0
+    pos = positions(n, indices)
+    out = np.zeros((n, pos.size), dtype=np.complex128)
+    out[pos, np.arange(pos.size)] = 1.0
     return out
 
 

@@ -16,6 +16,15 @@ unitary returns the unitary itself).  The reordering drops a fixed number
 of edge coordinates per round, independent of N, which is why the
 efficiency (kept / total) approaches one as N grows.
 
+Every step keeps the structure it is given, so none needs a dense
+(nN)^3 kernel.  The shared right factor of a round is blockdiag(w, ..., w)
+for one n x n unitary w, so products with it are one n-column matmul per
+block.  The reordering is an index permutation of rows and columns.  And
+each QR input, t_k @ blockdiag(w, ...), is upper triangular in aligned
+n x n blocks, so its Q is block diagonal (matcore.block_qr): one n x n QR
+per diagonal block.  A round therefore costs O(n * (nN)^2) per user, and
+the kept factors themselves are dense (nN)^2 arrays.
+
 Both constructions return joint.JointFactors with ``n_ext`` set and
 ``kept_indices`` naming the retained coordinates; nearly_kjet is
 joint.kgmd_to_kjet with nearly_kgmd as its inner step.
@@ -57,14 +66,42 @@ def _reorder_indices(n, n_users, n_ext, round_l):
     ]
 
 
-def _retriangularize(t_mats, u_mats, v_total, v_emb):
-    """Apply a shared right factor and restore triangularity by QR."""
-    v_total = v_total @ v_emb
+def _times_blockdiag(x, blocks):
+    """x @ blockdiag(blocks) without forming it: ``blocks`` is one n x n
+    block repeated down the diagonal, or a (G, n, n) stack, one per block."""
+    rows, cols = x.shape
+    n = blocks.shape[-1]
+    if blocks.ndim == 2:
+        return (x.reshape(-1, n) @ blocks).reshape(rows, cols)
+    stacked = x.reshape(rows, cols // n, n).transpose(1, 0, 2)
+    return np.matmul(stacked, blocks).transpose(1, 0, 2).reshape(rows, cols)
+
+
+def _retriangularize(t_mats, u_mats, v_total, w):
+    """Apply the shared right factor blockdiag(w, ..., w) and restore
+    triangularity by QR.
+
+    Each t_k is upper triangular with zero strict block-lower n x n
+    blocks, and multiplying by a block-diagonal factor keeps both, so the
+    QR input is block upper triangular and its positive-diagonal Q is
+    block diagonal: one n x n QR per diagonal block (matcore.block_qr).
+    The zeros hold because round 1 leaves the t_k block diagonal and the
+    reorderings never move a coupled coordinate pair below the blocks.
+    For the first reordering this follows from the group layout: element
+    q2 of group a sits at position n - q2 of original block
+    a - 1 + (q2 - 1) * (delta + 1) / n.  A coupled pair in one block,
+    row element q2 of group a and column element q2' of group b, has
+    q2 >= q2' (row at or left of the column), hence
+    a - b = (q2' - q2) * (delta + 1) / n <= 0: never below the blocks.
+    Later rounds keep it on every case the tests run; block_qr checks it
+    on each call and raises rather than drop a nonzero entry.  The cost
+    is O(n * (nN)^2) per user instead of O((nN)^3).
+    """
+    n = w.shape[0]
     for k in range(len(t_mats)):
-        fac = matcore.qr(t_mats[k] @ v_emb)
-        u_mats[k] = u_mats[k] @ fac.q
-        t_mats[k] = fac.r
-    return v_total
+        q_blocks, t_mats[k] = matcore.block_qr(_times_blockdiag(t_mats[k], w), n)
+        u_mats[k] = _times_blockdiag(u_mats[k], q_blocks)
+    return _times_blockdiag(v_total, w)
 
 
 def nearly_kgmd(matrices, n_ext):
@@ -87,28 +124,27 @@ def nearly_kgmd(matrices, n_ext):
             "need at least %d extensions for %d users of size %d, got %d"
             % (min_ext, k_users, n, n_ext))
 
-    # round 1: per-block GMD of the first matrix, QR-align everyone
+    # round 1: per-block GMD of the first matrix, QR-align everyone; the
+    # extensions are block diagonal, so this is one n x n QR per user
     local = gmd(mats[0])
-    v_emb = matcore.time_extend(local.v, n_ext)
-    v_total = np.eye(n * n_ext, dtype=np.complex128)
-    t_mats = [matcore.time_extend(m, n_ext) for m in mats]
-    u_mats = [np.eye(n * n_ext, dtype=np.complex128) for _ in mats]
-    v_total = _retriangularize(t_mats, u_mats, v_total, v_emb)
+    facs = [matcore.qr(m @ local.v) for m in mats]
+    v_total = matcore.time_extend(local.v, n_ext)
+    u_mats = [matcore.time_extend(f.q, n_ext) for f in facs]
+    t_mats = [matcore.time_extend(f.r, n_ext) for f in facs]
     coords = list(range(1, n * n_ext + 1))
 
     for round_l in range(2, k_users + 1):
         groups = _reorder_indices(n, k_users, n_ext, round_l)
         flat = [i for g in groups for i in g]
-        picker = matcore.extraction_matrix(t_mats[0].shape[0], flat)
+        pos = matcore.positions(t_mats[0].shape[0], flat)
         coords = [coords[i - 1] for i in flat]
-        v_total = v_total @ picker
+        v_total = v_total[:, pos]
         for k in range(k_users):
-            u_mats[k] = u_mats[k] @ picker
-            t_mats[k] = picker.conj().T @ t_mats[k] @ picker
+            u_mats[k] = u_mats[k][:, pos]
+            t_mats[k] = t_mats[k][np.ix_(pos, pos)]
         active = t_mats[round_l - 1]
         local = gmd(active[0:n, 0:n])
-        v_emb = matcore.time_extend(local.v, len(groups))
-        v_total = _retriangularize(t_mats, u_mats, v_total, v_emb)
+        v_total = _retriangularize(t_mats, u_mats, v_total, local.v)
 
     diag = np.real(np.diag(t_mats[0]))
     users = list(zip(u_mats, t_mats))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jtri import matcore
 from jtri.errors import (
@@ -9,6 +11,7 @@ from jtri.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonPositiveEntryError,
+    NotBlockTriangularError,
     NotSquareError,
     OverlappingGroupsError,
     RankDeficientError,
@@ -211,3 +214,78 @@ def test_json_parse_errors():
         matcore.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(ParseError):
         matcore.matrix_from_json({"rows": 1})
+
+
+# --- block QR -----------------------------------------------------------------
+
+
+def _block_upper(rng, n, g, scale=1.0):
+    """Random complex matrix, upper triangular in aligned n x n blocks,
+    whose diagonal blocks are well conditioned."""
+    a = rand_complex(rng, n * g)
+    block_of = np.arange(n * g) // n
+    a[block_of[:, None] > block_of[None, :]] = 0.0
+    a += 3.0 * n * np.eye(n * g)
+    return scale * a
+
+
+def _block_diag(blocks):
+    g, n, _ = blocks.shape
+    out = np.zeros((g * n, g * n), dtype=complex)
+    for j in range(g):
+        out[j * n:(j + 1) * n, j * n:(j + 1) * n] = blocks[j]
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), g=st.integers(1, 8), log_scale=st.floats(-100.0, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_qr_agrees_with_qr(n, g, log_scale, seed):
+    a = _block_upper(np.random.default_rng(seed), n, g, 10.0 ** log_scale)
+    q_blocks, r = matcore.block_qr(a, n)
+    ref = matcore.qr(a)
+    q = _block_diag(q_blocks)
+    assert q_blocks.shape == (g, n, n)
+    assert np.linalg.norm(q - ref.q) <= 1e-13 * np.linalg.norm(ref.q)
+    assert np.linalg.norm(r - ref.r) <= 1e-13 * np.linalg.norm(ref.r)
+    assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
+    diag = np.diag(r)
+    assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+    assert np.all(r[np.tril_indices(n * g, -1)] == 0.0)
+
+
+def test_block_qr_rank_threshold_matches_qr():
+    # a diagonal block u @ diag(1, eps) puts eps on R's diagonal; both QRs
+    # reject it below TOL_RANK * ||a||_F and accept it above
+    rng = np.random.default_rng(20)
+    n, g = 2, 5
+    base = _block_upper(rng, n, g)
+    for ratio, raises in ((0.5, True), (2.0, False)):
+        a = base.copy()
+        eps = ratio * matcore.TOL_RANK * np.linalg.norm(a)
+        a[4:6, 4:6] = rand_unitary(rng, 2) @ np.diag([1.0, eps])
+        for factor in (matcore.qr, lambda m: matcore.block_qr(m, n)):
+            if raises:
+                with pytest.raises(RankDeficientError):
+                    factor(a)
+            else:
+                factor(a)
+
+
+def test_block_qr_rejects_block_lower_entries():
+    rng = np.random.default_rng(21)
+    a = _block_upper(rng, 3, 4)
+    matcore.block_qr(a, 3)
+    for i, j in ((3, 2), (11, 0), (6, 5)):
+        bad = a.copy()
+        bad[i, j] = 1e-300
+        with pytest.raises(NotBlockTriangularError):
+            matcore.block_qr(bad, 3)
+    # entries below the diagonal inside a diagonal block are allowed
+    inside = a.copy()
+    inside[4, 3] = 1.0
+    matcore.block_qr(inside, 3)
+    with pytest.raises(LengthMismatchError):
+        matcore.block_qr(a, 5)
+    with pytest.raises(NotSquareError):
+        matcore.block_qr(a[:, :9], 3)

@@ -4,11 +4,13 @@ import pytest
 from jtri import joint, matcore, spacetime
 from jtri.errors import (
     BadDeterminantError,
+    DuplicateIndexError,
     FormMismatchError,
     TooFewExtensionsError,
     UnachievableFractionError,
 )
-from util import extended_gmd_residual, rand_real_det_one, rand_unit_det
+import test_golden as golden
+from util import extended_gmd_residual, nearly_kgmd_dense, rand_real_det_one, rand_unit_det
 
 TABLE_FRACTIONS = [(1, 3), (37, 100), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (9, 10)]
 
@@ -312,3 +314,79 @@ def test_required_extensions_boundary_and_errors():
         spacetime.required_extensions(1.0, 2, 3, "gmd")
     with pytest.raises(UnachievableFractionError):
         spacetime.required_extensions(1.5, 2, 2, "gmd")
+
+
+# --- structured construction against the dense oracle -------------------------
+
+ORACLE_CASES = ([(2, 3, n_ext) for n_ext in (4, 5, 16, 64, 256)]
+                + [(3, 3, 9), (3, 3, 27), (3, 3, 81), (2, 4, 16), (2, 4, 64),
+                   (4, 2, 8), (2, 5, 33)])
+
+
+def assert_same_factors(fac, ref, rtol=1e-12):
+    """Factor by factor agreement, each within rtol of its own norm."""
+    assert fac.kept_indices == ref.kept_indices
+    assert all(type(i) is int for i in fac.kept_indices)
+    assert fac.n_ext == ref.n_ext
+    pairs = [(fac.v, ref.v), (fac.diag, ref.diag)]
+    for (u, t), (u_ref, t_ref) in zip(fac.users, ref.users, strict=True):
+        pairs += [(u, u_ref), (t, t_ref)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n, k_users, n_ext", ORACLE_CASES)
+def test_nearly_kgmd_matches_dense_oracle(n, k_users, n_ext):
+    rng = np.random.default_rng([n, k_users, n_ext])
+    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
+    assert_same_factors(spacetime.nearly_kgmd(mats, n_ext), nearly_kgmd_dense(mats, n_ext))
+
+
+@pytest.mark.parametrize("n, k_users, n_ext", [(2, 3, 2), (2, 4, 16), (3, 3, 9), (2, 3, 64)])
+def test_nearly_kjet_matches_dense_oracle(n, k_users, n_ext):
+    rng = np.random.default_rng([n, k_users, n_ext, 1])
+    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
+    ref = joint.kgmd_to_kjet(mats, inner=lambda q: nearly_kgmd_dense(q, n_ext))
+    assert_same_factors(spacetime.nearly_kjet(mats, n_ext), ref)
+
+
+def test_golden_spacetime_inputs_match_dense_oracle():
+    # the inline inputs of the spacetime golden files, so those outputs stay
+    # pinned to the dense construction and not only to themselves
+    mats = [np.array(m, dtype=complex) for m in (golden.A, golden.D, golden.C)]
+    assert_same_factors(spacetime.nearly_kgmd(mats, 4), nearly_kgmd_dense(mats, 4))
+    ref = joint.kgmd_to_kjet(mats, inner=lambda q: nearly_kgmd_dense(q, 2))
+    assert_same_factors(spacetime.nearly_kjet(mats, 2), ref)
+
+
+def test_nearly_kgmd_never_runs_a_wide_qr(monkeypatch):
+    # a QR wider than one n x n block would bring back the O((nN)^3) cost
+    rng = np.random.default_rng(13)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    shapes = []
+    dense_qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return dense_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    spacetime.nearly_kgmd(mats, 64)
+    assert shapes
+    assert max(s[-1] for s in shapes) <= 2
+
+
+def test_nearly_kgmd_reorder_rejects_duplicate_index(monkeypatch):
+    rng = np.random.default_rng(14)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    reorder = spacetime._reorder_indices
+
+    def duplicating(*args):
+        groups = reorder(*args)
+        groups[1][0] = groups[0][0]
+        return groups
+
+    monkeypatch.setattr(spacetime, "_reorder_indices", duplicating)
+    with pytest.raises(DuplicateIndexError):
+        spacetime.nearly_kgmd(mats, 8)

@@ -1,6 +1,6 @@
-"""Shared helpers for the test suite: random matrix generators and the
+"""Shared helpers for the test suite: random matrix generators, the
 independent brute-force search oracles used to cross-check the
-closed-form existence tests.
+closed-form existence tests, and the dense reference constructions.
 
 The oracles deliberately avoid the library's F1/F2 route: they search
 for a unit vector making the required column norms equal to one, over a
@@ -10,7 +10,9 @@ dense grid with multistart local refinement.
 import numpy as np
 from scipy.optimize import minimize
 
-from jtri import matcore
+from jtri import matcore, spacetime
+from jtri.gtd import gmd
+from jtri.joint import JointFactors
 
 
 def rand_complex(rng, rows, cols=None):
@@ -171,3 +173,54 @@ def majorization_reference(sigma, dets, sizes):
         elif abs(acc - ls[-1]) > tol:
             return len(order)
     return None
+
+
+# --- dense time-extension oracle ----------------------------------------------
+
+
+def _retriangularize_dense(t_mats, u_mats, v_total, v_emb):
+    """Apply a shared right factor and restore triangularity by QR."""
+    v_total = v_total @ v_emb
+    for k in range(len(t_mats)):
+        fac = matcore.qr(t_mats[k] @ v_emb)
+        u_mats[k] = u_mats[k] @ fac.q
+        t_mats[k] = fac.r
+    return v_total
+
+
+def nearly_kgmd_dense(matrices, n_ext):
+    """spacetime.nearly_kgmd as a dense construction on (nN)-square arrays:
+    extraction-matrix pickers, time_extend products and full QRs, O((nN)^3).
+    Kept as the reference the structured construction is compared with;
+    the inputs are taken as valid (unit |det|, n_ext >= n^(K-1))."""
+    mats = [matcore.as_cmatrix(m) for m in matrices]
+    n = mats[0].shape[0]
+    k_users = len(mats)
+
+    # round 1: per-block GMD of the first matrix, QR-align everyone
+    local = gmd(mats[0])
+    v_emb = matcore.time_extend(local.v, n_ext)
+    v_total = np.eye(n * n_ext, dtype=np.complex128)
+    t_mats = [matcore.time_extend(m, n_ext) for m in mats]
+    u_mats = [np.eye(n * n_ext, dtype=np.complex128) for _ in mats]
+    v_total = _retriangularize_dense(t_mats, u_mats, v_total, v_emb)
+    coords = list(range(1, n * n_ext + 1))
+
+    for round_l in range(2, k_users + 1):
+        groups = spacetime._reorder_indices(n, k_users, n_ext, round_l)
+        flat = [i for g in groups for i in g]
+        picker = matcore.extraction_matrix(t_mats[0].shape[0], flat)
+        coords = [coords[i - 1] for i in flat]
+        v_total = v_total @ picker
+        for k in range(k_users):
+            u_mats[k] = u_mats[k] @ picker
+            t_mats[k] = picker.conj().T @ t_mats[k] @ picker
+        active = t_mats[round_l - 1]
+        local = gmd(active[0:n, 0:n])
+        v_emb = matcore.time_extend(local.v, len(groups))
+        v_total = _retriangularize_dense(t_mats, u_mats, v_total, v_emb)
+
+    diag = np.real(np.diag(t_mats[0]))
+    users = list(zip(u_mats, t_mats))
+    return JointFactors(v=v_total, users=users, diag=diag, n_ext=n_ext,
+                        kept_indices=coords)
