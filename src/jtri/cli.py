@@ -6,12 +6,23 @@ travel as JSON objects {"rows": n, "cols": m, "data": [[re, im], ...]}
 Output is JSON (default) or CSV with '.' decimal, ',' separator, LF
 endings and 12 significant digits.
 
+Commands put numpy arrays into their output documents as they are, and
+``matcore.dumps`` writes the JSON: compact, keys sorted, byte for byte what
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for the
+document with each array as its matrix object, with all-zero [re, im]
+pairs taken from a four-entry signed-zero table.  A non-finite number is
+never written: it fails the command with exit 4 (5 when it sits in a
+matrix, as for a non-finite input), except that ``simulate`` reports an
+infinite SNR as null.
+
 Exit codes: 0 success, 2 parse error, 3 the requested decomposition is
 infeasible, 4 numerical failure, 5 dimension or precondition problem.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +39,6 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .matcore import matrix_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -90,7 +100,7 @@ def _emit(args, obj, csv_text=None):
             raise ParseError("this command has no CSV form")
         data = csv_text
     else:
-        data = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        data = matcore.dumps(obj) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
@@ -162,7 +172,7 @@ def _cmd_decompose(args):
         rec = _recon_rel(a, fac.u, fac.r, fac.v)
         out = {
             "kind": kind,
-            "u": matrix_to_json(fac.u), "r": matrix_to_json(fac.r), "v": matrix_to_json(fac.v),
+            "u": fac.u, "r": fac.r, "v": fac.v,
             "diag": [float(d) for d in fac.diag],
             "residuals": {"recon_rel": rec,
                           "triangularity": float(np.max(np.abs(np.tril(fac.r, -1))))},
@@ -188,9 +198,8 @@ def _cmd_decompose(args):
                 raise
         out = {
             "kind": kind,
-            "v": matrix_to_json(factors.v),
-            "users": [{"u": matrix_to_json(u), "r": matrix_to_json(r)}
-                      for u, r in factors.users],
+            "v": factors.v,
+            "users": [{"u": u, "r": r} for u, r in factors.users],
             "diag": [float(d) for d in factors.diag],
             "residuals": _joint_diagnostics(mats, factors),
         }
@@ -210,9 +219,8 @@ def _cmd_decompose(args):
         v, u1, r1, u2, r2 = joint_mod.construct_upper_lower(a1, a2)
         out = {
             "kind": kind,
-            "v": matrix_to_json(v),
-            "users": [{"u": matrix_to_json(u1), "r": matrix_to_json(r1)},
-                      {"u": matrix_to_json(u2), "r": matrix_to_json(r2)}],
+            "v": v,
+            "users": [{"u": u1, "r": r1}, {"u": u2, "r": r2}],
             "residuals": {
                 "recon_rel": max(_recon_rel(a1, u1, r1, v), _recon_rel(a2, u2, r2, v)),
                 "triangularity": max(float(abs(r1[1, 0])), float(abs(r2[0, 1]))),
@@ -244,9 +252,8 @@ def _cmd_spacetime(args):
         "efficiency": kept / total,
         "min_extensions": n ** exponent,
         "kept_indices": [int(i) for i in factors.kept_indices],
-        "v": matrix_to_json(factors.v),
-        "users": [{"u": matrix_to_json(u), "t": matrix_to_json(t)}
-                  for u, t in factors.users],
+        "v": factors.v,
+        "users": [{"u": u, "t": t} for u, t in factors.users],
         "diag": [float(d) for d in factors.diag],
     }
     _emit(args, out)
@@ -287,9 +294,9 @@ def _cmd_examples(args):
         rates = multicast.scheme_rates(factors.diag)
         out = {
             "name": name, "rate": c,
-            "channels": [matrix_to_json(h) for h in hs],
-            "canonical": [matrix_to_json(g) for g in gs],
-            "precoder": matrix_to_json(factors.v),
+            "channels": hs,
+            "canonical": gs,
+            "precoder": factors.v,
             "diag": [float(d) for d in factors.diag],
             "total_rate": rates.total_rate,
             "multicast_rate": multicast.multicast_rate(prob),
@@ -303,15 +310,15 @@ def _cmd_examples(args):
         critical = 6.0 * np.log2((3.0 + np.sqrt(5.0)) / 2.0)
         out = {
             "name": name, "rate": c,
-            "reduced_pair": [matrix_to_json(a1), matrix_to_json(a2)],
+            "reduced_pair": [a1, a2],
             "f1": joint_mod.f1(s1, s2),
             "feasible": bool(feasible),
             "critical_rate": critical,
         }
         if feasible:
             factors = joint_mod.construct_2gmd(a1, a2)
-            out["precoder"] = matrix_to_json(factors.v)
-            out["witness"] = matrix_to_json(factors.v[:, :1])
+            out["precoder"] = factors.v
+            out["witness"] = factors.v[:, :1]
         else:
             out["note"] = "exact construction impossible above the critical rate"
     elif name == "permuted":
@@ -322,8 +329,8 @@ def _cmd_examples(args):
                                           power=float(len(gains)))
         out = {
             "name": name, "gains": gains,
-            "channels": [matrix_to_json(h) for h in channels],
-            "precoder": matrix_to_json(multicast.dft_precoder(len(gains))),
+            "channels": channels,
+            "precoder": multicast.dft_precoder(len(gains)),
             "multicast_rate": multicast.multicast_rate(prob),
         }
     elif name in ("dof2", "dof3"):
@@ -332,14 +339,14 @@ def _cmd_examples(args):
         out = {
             "name": name, "rate": args.rate,
             "gains": [float(g) for g in ex.gains],
-            "channels": [matrix_to_json(h) for h in ex.problem.users],
-            "canonical": [matrix_to_json(multicast.canonical_matrix(h, ex.problem.cov))
+            "channels": ex.problem.users,
+            "canonical": [multicast.canonical_matrix(h, ex.problem.cov)
                           for h in ex.problem.users],
-            "precoder": matrix_to_json(ex.precoder),
+            "precoder": ex.precoder,
             "multicast_rate": multicast.multicast_rate(ex.problem),
         }
         if ex.t_matrices is not None:
-            out["t_matrices"] = [matrix_to_json(t) for t in ex.t_matrices]
+            out["t_matrices"] = ex.t_matrices
     else:
         raise ParseError("unknown example %r" % name)
     _emit(args, out)
@@ -458,6 +465,32 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim    # the process's own C library
+    except (OSError, AttributeError, TypeError):
+        return None
+
+
+def _release_freed_memory():
+    """Give the heap memory a command freed back to the OS.
+
+    glibc returns freed heap memory only from the heap's top, and only past
+    a trim threshold that it raises with each large block freed.  In a
+    process that runs several commands, how much freed memory the heap
+    still holds then depends on the order of earlier frees, and it adds to
+    the next command's peak: the peak RSS of ``simulate`` after
+    ``spacetime`` varied by up to 100 MB between runs of the same commands.
+    Trimming after each command starts every command from a heap that
+    holds almost no free memory.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -478,6 +511,8 @@ def main(argv=None):
     except JtriError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        _release_freed_memory()
 
 
 if __name__ == "__main__":

@@ -1,12 +1,22 @@
 """Dense complex matrix core: QR/SVD wrappers with fixed conventions,
-adjugate, time extension, extraction/embedding operators, multiplicative
-majorization, and the JSON matrix interchange format.
+adjugate, time extension, multiplicative majorization, and the JSON matrix
+interchange format.
 
 Matrices are numpy ``complex128`` 2-D arrays throughout the package.
-All index lists crossing the API (extraction, embedding, kept indices)
-are 1-based; numpy storage is 0-based internally.
+All index lists crossing the API (kept indices, :func:`positions`) are
+1-based; numpy storage is 0-based internally.
+
+JSON text is written by one function, :func:`dumps`.  Its output is byte
+for byte ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+the document with every matrix replaced by :func:`matrix_to_json`, but it
+formats whole arrays at once: a pair whose two parts are both zero takes
+its text from the four-entry signed-zero table ``[0.0,0.0]``,
+``[0.0,-0.0]``, ``[-0.0,0.0]``, ``[-0.0,-0.0]`` (indexed by
+``2 * signbit(re) + signbit(im)``), and only the other pairs go through
+``float.__repr__``, which is what ``json`` uses.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +30,7 @@ from .errors import (
     NotFiniteError,
     NotSquareError,
     NoConvergenceError,
-    OverlappingGroupsError,
+    NumericalError,
     ParseError,
     RankDeficientError,
 )
@@ -192,48 +202,6 @@ def positions(n, indices):
     return np.array(idx, dtype=np.int64) - 1
 
 
-def extraction_matrix(n, indices):
-    """n-by-k matrix whose columns are the listed standard basis vectors.
-
-    ``indices`` are 1-based and must be distinct.  E^H A E picks out the
-    submatrix of A at those index pairs, in the listed order, which is
-    A[np.ix_(p, p)] for p = positions(n, indices).
-    """
-    pos = positions(n, indices)
-    out = np.zeros((n, pos.size), dtype=np.complex128)
-    out[pos, np.arange(pos.size)] = 1.0
-    return out
-
-
-def embed(n, b, index_groups):
-    """Overwrite I_n with copies of ``b`` on each coordinate group.
-
-    Each group is a tuple of 1-based positions, one per row/column of ``b``;
-    entry (i, j) of ``b`` lands at (group[i], group[j]).  Groups must be
-    pairwise disjoint, so embedding a unitary block keeps the result unitary.
-    """
-    block = as_cmatrix(b)
-    k, k2 = block.shape
-    if k != k2:
-        raise NotSquareError("embedded block must be square")
-    out = np.eye(n, dtype=np.complex128)
-    used = set()
-    for group in index_groups:
-        g = list(group)
-        if len(g) != k:
-            raise LengthMismatchError(
-                "group %r has %d entries, block is %d-by-%d" % (g, len(g), k, k))
-        for i in g:
-            if not 1 <= i <= n:
-                raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
-            if i in used:
-                raise OverlappingGroupsError("index %r appears in two groups" % (i,))
-            used.add(i)
-        pos = [i - 1 for i in g]
-        out[np.ix_(pos, pos)] = block
-    return out
-
-
 def first_failing_group(sigma, log_products, sizes=None):
     """The multiplicative-majorization test behind every feasibility check.
 
@@ -288,29 +256,103 @@ def matrix_to_json(a):
     """
     m = as_cmatrix(a)
     rows, cols = m.shape
-    flat = m.reshape(-1)
     return {
         "rows": rows,
         "cols": cols,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_json(obj):
-    """Inverse of :func:`matrix_to_json`."""
+    """Inverse of :func:`matrix_to_json`, exact to the bit (signed zeros
+    included).  Anything but a rows*cols list of [re, im] number pairs is a
+    ParseError; a JSON null is refused, not read as NaN."""
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ParseError("matrix object needs rows/cols/data fields") from exc
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
-        raise ParseError("data length %d does not match %d x %d" % (len(data), rows, cols))
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
+    if rows < 0 or cols < 0:
+        raise ParseError("negative matrix size %d x %d" % (rows, cols))
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("data must be a list of [re, im] number pairs") from exc
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.shape != (rows * cols, 2):
+        raise ParseError("data of shape %s does not hold %d x %d [re, im] pairs"
+                         % (pairs.shape, rows, cols))
+    # numpy reads None as NaN; only a literal NaN may pass (as_cmatrix
+    # rejects it downstream), so look for null where a NaN appeared
+    if np.isnan(pairs).any() and any(x is None for pair in data for x in pair):
+        raise ParseError("data holds null where a number is expected")
+    return pairs.view(np.complex128).reshape(rows, cols)
+
+
+# the text of an all-zero [re, im] pair, at 2 * signbit(re) + signbit(im)
+_ZERO_PAIRS = np.array(["[0.0,0.0]", "[0.0,-0.0]", "[-0.0,0.0]", "[-0.0,-0.0]"], dtype=object)
+# one encoder for every scalar, key and array-free subtree: json.dumps with
+# non-default options would build a new encoder on each call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _holds_array(obj):
+    if isinstance(obj, np.ndarray):
+        return True
+    if isinstance(obj, dict):
+        return any(_holds_array(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_array(v) for v in obj)
+    return False
+
+
+def _write(obj, out):
+    if isinstance(obj, np.ndarray):
+        m = as_cmatrix(obj)
+        re = m.real.ravel()
+        im = m.imag.ravel()
+        parts = _ZERO_PAIRS[2 * np.signbit(re) + np.signbit(im)]
+        nonzero = np.flatnonzero((re != 0.0) | (im != 0.0))
+        r = float.__repr__
+        parts[nonzero] = ["[%s,%s]" % (r(x), r(y))
+                          for x, y in zip(re[nonzero].tolist(), im[nonzero].tolist())]
+        out.append('{"cols":%d,"data":[' % m.shape[1])
+        out.append(",".join(parts.tolist()))
+        out.append('],"rows":%d}' % m.shape[0])
+    elif isinstance(obj, dict) and _holds_array(obj):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError("keys of a dict holding arrays must be str, not %r" % (key,))
+            out.append('%s%s:' % ("," if i else "", _ENCODER.encode(key)))
+            _write(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)) and _holds_array(obj):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _write(item, out)
+        out.append("]")
+    else:
         try:
-            re, im = pair
-        except (TypeError, ValueError) as exc:
-            raise ParseError("entry %d is not an [re, im] pair" % i) from exc
-        out[i] = complex(float(re), float(im))
-    return out.reshape(rows, cols)
+            out.append(_ENCODER.encode(obj))
+        except ValueError as exc:
+            raise NumericalError("output holds a non-finite number: %s" % exc) from exc
+
+
+def dumps(obj):
+    """Compact JSON text of ``obj``, in which every ndarray is written as
+    its matrix object :func:`matrix_to_json`.
+
+    The text equals ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    of that document byte for byte.  A matrix with a non-finite entry
+    raises NotFiniteError (from :func:`as_cmatrix`); a non-finite scalar
+    raises NumericalError, so the text never holds NaN or Infinity.  A
+    subtree that holds no array goes to the json encoder whole.
+    """
+    out = []
+    _write(obj, out)
+    return "".join(out)

@@ -153,6 +153,17 @@ def scheme_rates(diag, n_ext=1):
                        total_rate=float(np.sum(rate)) / int(n_ext))
 
 
+def _complex_normal(rng, shape):
+    """(standard_normal + 1j * standard_normal) / sqrt(2), real parts drawn
+    first, built in place: the same bits as that expression, without its
+    three full-size temporaries."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
+
+
 def simulate_sic(problem, factors, trials, seed, noise=True):
     """Monte-Carlo measurement of the per-stream SNR seen by the
     successive-cancellation receiver, one report per user.
@@ -184,8 +195,7 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
     v = factors.v
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     m_streams = v.shape[1]
-    x_sym = (rng.standard_normal((m_streams, trials))
-             + 1j * rng.standard_normal((m_streams, trials))) / np.sqrt(2.0)
+    x_sym = _complex_normal(rng, (m_streams, trials))
     reports = []
     for (h, (u, _r)) in zip(problem.users, factors.users):
         qfac = _augmented_qr(h, problem.cov)
@@ -200,19 +210,21 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
         signal = front @ (q1 @ (g @ v))           # m x m effective matrix
         r_eff = u.conj().T @ (g @ v)
         predicted = np.abs(np.diag(r_eff)) ** 2 - 1.0
-        y_eff = signal @ x_sym
         if noise:
-            z = (rng.standard_normal((q1.shape[0], trials))
-                 + 1j * rng.standard_normal((q1.shape[0], trials))) / np.sqrt(2.0)
-            y_eff = y_eff + front @ z
+            # the noise term first, so its draw is freed before the signal
+            # term is formed; the sum is the same either way round
+            y_eff = front @ _complex_normal(rng, (q1.shape[0], trials))
+            y_eff += signal @ x_sym
+        else:
+            y_eff = signal @ x_sym
         measured = np.empty(m_streams)
         stderr = np.empty(m_streams)
         for j in range(m_streams):
             decoded = y_eff[j] - signal[j, j + 1:] @ x_sym[j + 1:]
             sig = signal[j, j] * x_sym[j]
-            noise_part = decoded - sig
+            decoded -= sig                        # the noise part
             p_sig = np.abs(sig) ** 2
-            p_noise = np.abs(noise_part) ** 2
+            p_noise = np.abs(decoded) ** 2
             ms, mn = np.mean(p_sig), np.mean(p_noise)
             if mn <= 1e-20 * ms:
                 # interference-free stream measured without noise injection:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jtri import cli, matcore
-from util import rand_complex, rand_unit_det
+from util import per_entry_document, rand_complex, rand_unit_det
 
 
 def mat_json(a):
@@ -139,6 +139,14 @@ def test_decompose_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("data", ["[[null,0]]", '[["abc",0]]', "[[[1],2]]"])
+def test_decompose_bad_matrix_entry_is_parse_error(data, capsys):
+    inline = '{"rows":1,"cols":1,"data":%s}' % data
+    code, out, err = run_cli(capsys, ["decompose", "--kind", "gmd", "--inline", inline])
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
 def test_decompose_requires_exactly_one_source(capsys):
     code, _out, err = run_cli(capsys, ["decompose", "--kind", "gmd"])
     assert code == cli.EXIT_PARSE
@@ -265,3 +273,72 @@ def test_output_file_round_trip(tmp_path, capsys):
     assert np.linalg.norm(u @ r @ v.conj().T - a) < 1e-9 * np.linalg.norm(a)
     assert np.max(np.abs(np.tril(r, -1))) < 1e-9
     assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
+
+
+def _spy_documents(monkeypatch):
+    """Record every document the CLI hands to matcore.dumps."""
+    docs = []
+    dumps = matcore.dumps
+
+    def spy(obj):
+        docs.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(matcore, "dumps", spy)
+    return docs
+
+
+@pytest.mark.parametrize("args, mats", [
+    (["spacetime", "--mode", "gmd", "--extensions", "64"], (2, 2, 2)),
+    (["decompose", "--kind", "jet"], (6, 6)),
+])
+def test_whole_output_matches_per_entry_encoder(args, mats, capsys, monkeypatch):
+    rng = np.random.default_rng(21)
+    payload = {"matrices": [mat_json(rand_unit_det(rng, n)) for n in mats]}
+    docs = _spy_documents(monkeypatch)
+    code, out, _ = run_cli(capsys, args, payload)
+    assert code == 0 and len(docs) == 1
+    want = json.dumps(per_entry_document(docs[0]), sort_keys=True, separators=(",", ":"))
+    assert out == want + "\n"
+
+
+def test_non_finite_scalar_output_is_numerical_failure(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.multicast, "multicast_rate", lambda prob: float("nan"))
+    out_path = tmp_path / "ex.json"
+    code, out, err = run_cli(capsys, ["examples", "--name", "rateless2", "--rate", "4",
+                                      "--out", str(out_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and "non-finite" in err
+    assert not out_path.exists()
+
+
+def test_simulate_reports_infinite_snr_as_null(capsys, monkeypatch):
+    simulate_sic = cli.multicast.simulate_sic
+
+    def interference_free(*args, **kwargs):
+        reports = simulate_sic(*args, **kwargs)
+        reports[0].measured_snr[0] = np.inf
+        reports[0].std_error[0] = np.inf
+        return reports
+
+    monkeypatch.setattr(cli.multicast, "simulate_sic", interference_free)
+    payload = {"users": [mat_json(np.diag([1.0, 2.0]))], "power": 2.0}
+    code, out, _ = run_cli(capsys, ["simulate", "--trials", "100"], payload)
+    assert code == 0
+    stream = json.loads(out)["streams"][0]
+    assert stream["measured_snr"] is None and stream["std_error"] is None
+
+
+def test_every_command_trims_the_heap_after_it_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_malloc_trim", lambda: calls.append)
+    code, _out, _err = run_cli(capsys, ["tables"])
+    assert code == 0 and calls == [0]
+    code, _out, _err = run_cli(capsys, ["decompose", "--kind", "gmd", "--inline", "{bad"])
+    assert code == cli.EXIT_PARSE and calls == [0, 0]
+
+
+def test_heap_trim_runs_without_a_c_library_hook(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_malloc_trim", lambda: None)
+    code, _out, _err = run_cli(capsys, ["tables"])
+    assert code == 0

@@ -12,11 +12,21 @@ from jtri.errors import (
     LengthMismatchError,
     NonPositiveEntryError,
     NotBlockTriangularError,
+    NotFiniteError,
     NotSquareError,
+    NumericalError,
     OverlappingGroupsError,
+    ParseError,
     RankDeficientError,
 )
-from util import rand_complex, rand_unitary
+from util import (
+    embed,
+    extraction_matrix,
+    matrix_to_json_per_entry,
+    per_entry_document,
+    rand_complex,
+    rand_unitary,
+)
 
 
 def test_qr_identity():
@@ -114,23 +124,23 @@ def test_time_extend():
 
 
 def test_extraction_matrix():
-    e = matcore.extraction_matrix(5, [4, 1, 5])
+    e = extraction_matrix(5, [4, 1, 5])
     expect = np.zeros((5, 3))
     expect[3, 0] = expect[0, 1] = expect[4, 2] = 1.0
     assert np.array_equal(e.real, expect)
     assert np.allclose(e.conj().T @ e, np.eye(3))
-    assert np.array_equal(matcore.extraction_matrix(4, range(1, 5)).real, np.eye(4))
+    assert np.array_equal(extraction_matrix(4, range(1, 5)).real, np.eye(4))
     with pytest.raises(IndexOutOfRangeError):
-        matcore.extraction_matrix(3, [0])
+        extraction_matrix(3, [0])
     with pytest.raises(DuplicateIndexError):
-        matcore.extraction_matrix(3, [1, 1])
+        extraction_matrix(3, [1, 1])
 
 
 def test_extraction_picks_submatrix():
     rng = np.random.default_rng(6)
     a = rand_complex(rng, 6)
     idx = [2, 5, 3]
-    e = matcore.extraction_matrix(6, idx)
+    e = extraction_matrix(6, idx)
     sub = e.conj().T @ a @ e
     for i, gi in enumerate(idx):
         for j, gj in enumerate(idx):
@@ -139,7 +149,7 @@ def test_extraction_picks_submatrix():
 
 def test_embed_worked_example():
     b = np.array([[11.0, 2.0], [3.0, 4.0]], dtype=complex)
-    out = matcore.embed(4, b, [(1, 3), (2, 4)])
+    out = embed(4, b, [(1, 3), (2, 4)])
     expect = np.array([
         [11, 0, 2, 0],
         [0, 11, 0, 2],
@@ -150,26 +160,26 @@ def test_embed_worked_example():
 
 
 def test_embed_identity_and_unitarity():
-    assert np.array_equal(matcore.embed(5, np.eye(2), [(2, 4)]), np.eye(5))
+    assert np.array_equal(embed(5, np.eye(2), [(2, 4)]), np.eye(5))
     rng = np.random.default_rng(7)
     u = rand_unitary(rng, 2)
-    big = matcore.embed(6, u, [(1, 4), (2, 5)])
+    big = embed(6, u, [(1, 4), (2, 5)])
     assert np.max(np.abs(big.conj().T @ big - np.eye(6))) < 1e-12
 
 
 def test_embed_errors():
     with pytest.raises(OverlappingGroupsError):
-        matcore.embed(4, np.eye(2), [(1, 2), (2, 3)])
+        embed(4, np.eye(2), [(1, 2), (2, 3)])
     with pytest.raises(IndexOutOfRangeError):
-        matcore.embed(4, np.eye(2), [(1, 5)])
+        embed(4, np.eye(2), [(1, 5)])
 
 
 def test_embed_extract_duality_bitexact():
     rng = np.random.default_rng(8)
     b = rand_complex(rng, 3)
     group = (2, 6, 4)
-    big = matcore.embed(7, b, [group])
-    e = matcore.extraction_matrix(7, group)
+    big = embed(7, b, [group])
+    e = extraction_matrix(7, group)
     back = e.conj().T @ big @ e
     assert np.array_equal(back, b)
 
@@ -203,17 +213,121 @@ def test_majorizes_sigma_vs_geometric_mean():
 def test_json_round_trip_exact():
     rng = np.random.default_rng(11)
     a = rand_complex(rng, 4, 3) * np.exp(rng.standard_normal((4, 3)) * 20)
+    a[0, 0] = complex(-0.0, 0.0)
+    a[1, 2] = complex(0.0, -0.0)
+    a[2, 1] = complex(-0.0, -0.0)
+    a[3, 0] = complex(5e-324, -1e300)
     text = json.dumps(matcore.matrix_to_json(a))
     back = matcore.matrix_from_json(json.loads(text))
-    assert np.array_equal(back, a)
+    assert back.shape == a.shape
+    assert np.array_equal(back.view(np.int64), a.view(np.int64))
+    back = matcore.matrix_from_json(json.loads(matcore.dumps(a)))
+    assert np.array_equal(back.view(np.int64), a.view(np.int64))
+    empty = matcore.matrix_from_json({"rows": 0, "cols": 3, "data": []})
+    assert empty.shape == (0, 3)
 
 
 def test_json_parse_errors():
-    from jtri.errors import ParseError
     with pytest.raises(ParseError):
         matcore.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(ParseError):
         matcore.matrix_from_json({"rows": 1})
+    with pytest.raises(ParseError):
+        matcore.matrix_from_json({"rows": "two", "cols": 1, "data": [[1, 0]]})
+    with pytest.raises(ParseError):
+        matcore.matrix_from_json({"rows": -1, "cols": -1, "data": [[1, 0]]})
+    # null must not turn into NaN; strings, nesting and wrong pair lengths
+    # are parse errors, not uncaught TypeError/ValueError
+    for data in ([[None, 0]], [[0, None]], [["abc", 0]], [[[1], 2]], [[1, 2, 3]],
+                 [1, 2], 7, None, {"re": 1}):
+        with pytest.raises(ParseError):
+            matcore.matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+
+def test_json_literal_nan_is_not_a_parse_error():
+    # Python's json reads a NaN literal; it stays NaN and as_cmatrix
+    # rejects it, while a null is a ParseError
+    m = matcore.matrix_from_json(json.loads('{"rows":1,"cols":1,"data":[[NaN,0]]}'))
+    assert np.isnan(m[0, 0].real)
+    with pytest.raises(NotFiniteError):
+        matcore.as_cmatrix(m)
+
+
+# --- JSON writer ---------------------------------------------------------------
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.0, 3.0e16, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -2.225073858507201e-308, 1e300, -1e-300, 1.7976931348623157e308, 0.1]
+_ENTRY = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.sampled_from([0.0, -0.0]),      # zeros weighted up, as in banded factors
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Complex matrices of 0..5 rows and columns, some of them
+    non-contiguous views (column slices, strided rows, transposes)."""
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    flat = draw(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=2 * rows * cols,
+                         max_size=2 * rows * cols))
+    base = np.array([complex(x, y) for x, y in flat], dtype=np.complex128).reshape(2 * rows, cols)
+    view = draw(st.sampled_from(("rows", "strided", "transpose", "columns")))
+    if view == "rows":
+        return base[:rows]
+    if view == "strided":
+        return base[::2]
+    if view == "transpose":
+        return base[:rows].T
+    return base[:, :1]
+
+
+_LEAF = st.one_of(
+    _matrices(), st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6))
+_DOCUMENT = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _oracle_text(doc):
+    return json.dumps(per_entry_document(doc), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=_matrices())
+def test_dumps_matrix_equals_per_entry_json(m):
+    assert matcore.dumps(m) == _oracle_text(m)
+    assert matcore.matrix_to_json(m) == matrix_to_json_per_entry(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_DOCUMENT)
+def test_dumps_document_equals_per_entry_json(doc):
+    assert matcore.dumps(doc) == _oracle_text(doc)
+
+
+def test_dumps_signed_zero_table():
+    m = np.array([[complex(0.0, 0.0), complex(0.0, -0.0)],
+                  [complex(-0.0, 0.0), complex(-0.0, -0.0)],
+                  [complex(-0.0, 2.5), complex(1e-300, -0.0)]])
+    assert matcore.dumps(m) == (
+        '{"cols":2,"data":[[0.0,0.0],[0.0,-0.0],[-0.0,0.0],[-0.0,-0.0],'
+        '[-0.0,2.5],[1e-300,-0.0]],"rows":3}')
+
+
+def test_dumps_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericalError):
+            matcore.dumps({"x": bad})
+        with pytest.raises(NumericalError):
+            matcore.dumps({"m": np.eye(2), "x": [1.0, bad]})
+        with pytest.raises(NotFiniteError):
+            matcore.dumps({"m": np.array([[1.0, bad]])})
 
 
 # --- block QR -----------------------------------------------------------------

@@ -193,6 +193,19 @@ def test_simulate_sic_deterministic():
     assert np.array_equal(r1.measured_snr, r2.measured_snr)
 
 
+@pytest.mark.parametrize("shape", [(4, 1000), (1, 7), (3, 1)])
+def test_complex_normal_matches_the_expression_bit_for_bit(shape):
+    want_rng = np.random.Generator(np.random.Philox(key=13))
+    want = (want_rng.standard_normal(shape)
+            + 1j * want_rng.standard_normal(shape)) / np.sqrt(2.0)
+    rng = np.random.Generator(np.random.Philox(key=13))
+    got = multicast._complex_normal(rng, shape)
+    assert got.dtype == np.complex128 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    # both consumed the same draws
+    assert rng.standard_normal() == want_rng.standard_normal()
+
+
 @pytest.mark.parametrize("n_ext", [4, 8])
 def test_simulate_sic_time_extension_factors(n_ext):
     # three equal-rate users: rotations of one pair of singular values

@@ -10,7 +10,13 @@ from jtri.errors import (
     UnachievableFractionError,
 )
 import test_golden as golden
-from util import extended_gmd_residual, nearly_kgmd_dense, rand_real_det_one, rand_unit_det
+from util import (
+    extended_gmd_residual,
+    extraction_matrix,
+    nearly_kgmd_dense,
+    rand_real_det_one,
+    rand_unit_det,
+)
 
 TABLE_FRACTIONS = [(1, 3), (37, 100), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (9, 10)]
 
@@ -177,7 +183,7 @@ def in_place_equal_diag_variant(mats, n_ext):
     for round_l in range(2, k_rounds + 1):
         groups = spacetime._reorder_indices(n, k_rounds, n_ext, round_l)
         flat = [i for g in groups for i in g]
-        picker = matcore.extraction_matrix(t_mats[0].shape[0], flat)
+        picker = extraction_matrix(t_mats[0].shape[0], flat)
         v_total = v_total @ picker
         for k in range(k_users):
             u_mats[k] = u_mats[k] @ picker

@@ -11,6 +11,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from jtri import matcore, spacetime
+from jtri.errors import (
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    NotSquareError,
+    OverlappingGroupsError,
+)
 from jtri.gtd import gmd
 from jtri.joint import JointFactors
 
@@ -175,6 +181,78 @@ def majorization_reference(sigma, dets, sizes):
     return None
 
 
+# --- extraction and embedding operators -----------------------------------------
+
+
+def extraction_matrix(n, indices):
+    """n-by-k matrix whose columns are the listed standard basis vectors.
+
+    ``indices`` are 1-based and must be distinct.  E^H A E picks out the
+    submatrix of A at those index pairs, in the listed order, which is
+    A[np.ix_(p, p)] for p = matcore.positions(n, indices).
+    """
+    pos = matcore.positions(n, indices)
+    out = np.zeros((n, pos.size), dtype=np.complex128)
+    out[pos, np.arange(pos.size)] = 1.0
+    return out
+
+
+def embed(n, b, index_groups):
+    """Overwrite I_n with copies of ``b`` on each coordinate group.
+
+    Each group is a tuple of 1-based positions, one per row/column of ``b``;
+    entry (i, j) of ``b`` lands at (group[i], group[j]).  Groups must be
+    pairwise disjoint, so embedding a unitary block keeps the result unitary.
+    """
+    block = matcore.as_cmatrix(b)
+    k, k2 = block.shape
+    if k != k2:
+        raise NotSquareError("embedded block must be square")
+    out = np.eye(n, dtype=np.complex128)
+    used = set()
+    for group in index_groups:
+        g = list(group)
+        if len(g) != k:
+            raise LengthMismatchError(
+                "group %r has %d entries, block is %d-by-%d" % (g, len(g), k, k))
+        for i in g:
+            if not 1 <= i <= n:
+                raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
+            if i in used:
+                raise OverlappingGroupsError("index %r appears in two groups" % (i,))
+            used.add(i)
+        pos = [i - 1 for i in g]
+        out[np.ix_(pos, pos)] = block
+    return out
+
+
+# --- per-entry JSON encoder oracle -----------------------------------------------
+
+
+def matrix_to_json_per_entry(a):
+    """Matrix as {"rows", "cols", "data": [[re, im], ...]} in row-major order,
+    built one entry at a time: the encoder matcore.dumps is compared with."""
+    m = matcore.as_cmatrix(a)
+    rows, cols = m.shape
+    flat = m.reshape(-1)
+    return {
+        "rows": rows,
+        "cols": cols,
+        "data": [[float(z.real), float(z.imag)] for z in flat],
+    }
+
+
+def per_entry_document(obj):
+    """``obj`` with every ndarray replaced by its per-entry matrix object."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json_per_entry(obj)
+    if isinstance(obj, dict):
+        return {key: per_entry_document(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [per_entry_document(value) for value in obj]
+    return obj
+
+
 # --- dense time-extension oracle ----------------------------------------------
 
 
@@ -209,7 +287,7 @@ def nearly_kgmd_dense(matrices, n_ext):
     for round_l in range(2, k_users + 1):
         groups = spacetime._reorder_indices(n, k_users, n_ext, round_l)
         flat = [i for g in groups for i in g]
-        picker = matcore.extraction_matrix(t_mats[0].shape[0], flat)
+        picker = extraction_matrix(t_mats[0].shape[0], flat)
         coords = [coords[i - 1] for i in flat]
         v_total = v_total @ picker
         for k in range(k_users):
