@@ -2,9 +2,10 @@
 
 Subcommands: decompose, spacetime, tables, examples, simulate.  Matrices
 travel as JSON objects {"rows": n, "cols": m, "data": [[re, im], ...]}
-(row-major); multi-matrix inputs as {"matrices": [...]} plus parameters.
-Output is JSON (default) or CSV with '.' decimal, ',' separator, LF
-endings and 12 significant digits.
+(row-major); multi-matrix inputs as {"matrices": [...]} plus parameters
+(``target`` for gtd, ``block_sizes`` and ``block_dets`` for block).
+Output is JSON; ``tables --format csv`` writes CSV with '.' decimal, ','
+separator, LF endings and 12 significant digits.
 
 Commands put numpy arrays into their output documents as they are, and
 ``matcore.dumps`` writes the JSON: compact, keys sorted, byte for byte what
@@ -94,13 +95,10 @@ def _payload_matrices(payload, minimum=1):
     return mats, payload if isinstance(payload, dict) else {}
 
 
-def _emit(args, obj, csv_text=None):
-    if args.format == "csv":
-        if csv_text is None:
-            raise ParseError("this command has no CSV form")
-        data = csv_text
-    else:
-        data = matcore.dumps(obj) + "\n"
+def _emit(args, obj):
+    """Write a command's output: ``obj`` as JSON, or as it is when it is
+    already text (the CSV form of ``tables``)."""
+    data = obj if isinstance(obj, str) else matcore.dumps(obj) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
@@ -127,109 +125,77 @@ def _recon_rel(a, u, r, v):
                  / np.linalg.norm(a / scale))
 
 
-def _joint_diagnostics(mats, factors):
-    recon = 0.0
-    tri = 0.0
-    for (u, r), a in zip(factors.users, mats):
-        recon = max(recon, _recon_rel(a, u, r, factors.v))
-        tri = max(tri, float(np.max(np.abs(np.tril(r, -1)))))
-    diag_spread = float(max(
-        np.max(np.abs(np.real(np.diag(r)) - factors.diag)) for _, r in factors.users)
-        / np.mean(np.abs(factors.diag)))
-    return {"recon_rel": recon, "triangularity": tri, "diag_spread": diag_spread}
+def _residuals(mats, v, users, diag=None, lower=()):
+    """Residual diagnostics of a_k = u_k r_k v^H: the worst relative
+    reconstruction error and the largest entry on the wrong side of an
+    r_k's diagonal (above it for the users indexed in ``lower``, below it
+    for the rest), plus the largest diagonal deviation from ``diag``
+    relative to its mean when ``diag`` is given."""
+    out = {
+        "recon_rel": max(_recon_rel(a, u, r, v) for a, (u, r) in zip(mats, users)),
+        "triangularity": max(
+            float(np.max(np.abs(np.triu(r, 1) if k in lower else np.tril(r, -1))))
+            for k, (_, r) in enumerate(users)),
+    }
+    if diag is not None:
+        out["diag_spread"] = float(
+            max(np.max(np.abs(np.real(np.diag(r)) - diag)) for _, r in users)
+            / np.mean(np.abs(diag)))
+    return out
 
 
 def _cmd_decompose(args):
-    payload_mats, payload = _payload_matrices(_load_payload(args))
+    mats, payload = _payload_matrices(_load_payload(args))
     kind = args.kind
     if kind in ("gtd", "gmd", "block"):
-        if len(payload_mats) != 1:
+        if len(mats) != 1:
             raise ParseError("%s expects a single matrix" % kind)
-        a = payload_mats[0]
+        a = mats[0]
         if kind == "gmd":
             fac = gtd_mod.gmd(a)
-            extra = {}
         elif kind == "gtd":
-            target = payload.get("target") if isinstance(payload, dict) else None
-            if args.target:
-                target = [float(x) for x in args.target.split(",")]
+            target = payload.get("target")
             if target is None:
-                raise ParseError("gtd needs --target r1,r2,... or a 'target' field")
+                raise ParseError("gtd needs a 'target' field")
             fac = gtd_mod.gtd(a, target)
-            extra = {}
         else:
             sizes = payload.get("block_sizes")
             dets = payload.get("block_dets")
-            if args.blocks:
-                sizes = [int(x) for x in args.blocks.split(",")]
-            if args.dets:
-                dets = [complex(x) for x in args.dets.split(",")]
             if sizes is None or dets is None:
                 raise ParseError("block needs block_sizes and block_dets")
             fac = gtd_mod.block_gtd(a, gtd_mod.BlockSpec(block_sizes=sizes,
                                                          block_dets=dets))
-            extra = {"boundaries": fac.boundaries}
-        rec = _recon_rel(a, fac.u, fac.r, fac.v)
         out = {
             "kind": kind,
             "u": fac.u, "r": fac.r, "v": fac.v,
             "diag": [float(d) for d in fac.diag],
-            "residuals": {"recon_rel": rec,
-                          "triangularity": float(np.max(np.abs(np.tril(fac.r, -1))))},
+            "residuals": _residuals([a], fac.v, [(fac.u, fac.r)]),
         }
-        out.update(extra)
-        _check_tol(args, out["residuals"])
-        _emit(args, out)
-        return EXIT_OK
-    if kind in ("jet", "kgmd"):
-        mats = payload_mats
-        if kind == "jet":
-            factors = joint_mod.kgmd_to_kjet(mats)
-        else:
-            try:
-                factors = joint_mod.kgmd_exact(mats)
-            except joint_mod.NotConstructibleError:
-                if len(mats) == 2 and mats[0].shape == (2, 2):
-                    s1 = mats[0].conj().T @ mats[0] - np.eye(2)
-                    s2 = mats[1].conj().T @ mats[1] - np.eye(2)
-                    raise joint_mod.NotConstructibleError(
-                        "exact joint unit-diagonal triangularization does not "
-                        "exist: F1 = %.6g < 0" % joint_mod.f1(s1, s2)) from None
-                raise
+        if kind == "block":
+            out["boundaries"] = fac.boundaries
+    elif kind in ("jet", "kgmd"):
+        construct = joint_mod.kgmd_to_kjet if kind == "jet" else joint_mod.kgmd_exact
+        factors = construct(mats)
         out = {
             "kind": kind,
             "v": factors.v,
             "users": [{"u": u, "r": r} for u, r in factors.users],
             "diag": [float(d) for d in factors.diag],
-            "residuals": _joint_diagnostics(mats, factors),
+            "residuals": _residuals(mats, factors.v, factors.users, diag=factors.diag),
         }
-        _check_tol(args, out["residuals"])
-        _emit(args, out)
-        return EXIT_OK
-    if kind == "upper-lower":
-        if len(payload_mats) != 2:
+    else:
+        if len(mats) != 2:
             raise ParseError("upper-lower expects two matrices")
-        a1, a2 = payload_mats
-        if not joint_mod.exists_upper_lower(a1, a2):
-            s1 = a1.conj().T @ a1 - np.eye(2)
-            s2 = a2.conj().T @ a2 - np.eye(2)
-            raise joint_mod.ConditionViolatedError(
-                "mixed-orientation decomposition does not exist: F2 = %.6g < 0"
-                % joint_mod.f2(s1, s2))
-        v, u1, r1, u2, r2 = joint_mod.construct_upper_lower(a1, a2)
+        v, u1, r1, u2, r2 = joint_mod.construct_upper_lower(*mats)
         out = {
             "kind": kind,
             "v": v,
             "users": [{"u": u1, "r": r1}, {"u": u2, "r": r2}],
-            "residuals": {
-                "recon_rel": max(_recon_rel(a1, u1, r1, v), _recon_rel(a2, u2, r2, v)),
-                "triangularity": max(float(abs(r1[1, 0])), float(abs(r2[0, 1]))),
-            },
+            "residuals": _residuals(mats, v, [(u1, r1), (u2, r2)], lower=(1,)),
         }
-        _check_tol(args, out["residuals"])
-        _emit(args, out)
-        return EXIT_OK
-    raise ParseError("unknown decomposition kind %r" % kind)
+    _check_tol(args, out["residuals"])
+    _emit(args, out)
+    return EXIT_OK
 
 
 def _cmd_spacetime(args):
@@ -274,11 +240,7 @@ def _cmd_tables(args):
         rows["percent"].append(pct)
         rows["gmd"].append(n_gmd)
         rows["jet"].append(n_jet)
-    csv_text = "\n".join(lines) + "\n"
-    if args.format == "json":
-        _emit(args, rows)
-    else:
-        _emit(args, None, csv_text=csv_text)
+    _emit(args, rows if args.format == "json" else "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -424,14 +386,10 @@ def build_parser():
             p.add_argument("--input", help="path to a JSON input file")
             p.add_argument("--inline", help="inline JSON input")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("decompose", help="single- or multi-matrix decompositions")
     p.add_argument("--kind", required=True,
                    choices=("gtd", "gmd", "jet", "kgmd", "upper-lower", "block"))
-    p.add_argument("--target", help="comma-separated diagonal for gtd")
-    p.add_argument("--blocks", help="comma-separated block sizes for block")
-    p.add_argument("--dets", help="comma-separated block determinants for block")
     p.add_argument("--tol", type=float, default=None,
                    help="fail the run (exit 4) when a residual exceeds this bound")
     add_io(p)
@@ -444,6 +402,7 @@ def build_parser():
     p.set_defaults(func=_cmd_spacetime)
 
     p = sub.add_parser("tables", help="required time extensions per capacity fraction")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     add_io(p, needs_input=False)
     p.set_defaults(func=_cmd_tables)
 

@@ -95,29 +95,26 @@ def normalize_equal_det(matrices):
     scaled = []
     factors = []
     for m in mats:
-        d = abs(np.linalg.det(m))
-        if not d > 0:
+        log_d = np.linalg.slogdet(m)[1]     # log|det|, -inf when singular
+        if not np.isfinite(log_d):
             raise SingularMatrixError("cannot normalize a singular matrix")
-        f = d ** (1.0 / n)
+        f = float(np.exp(log_d / n))
         factors.append(f)
         scaled.append(m / f)
     return scaled, factors
 
 
-def _equal_absdet_or_raise(mats):
-    logs = [np.log(abs(np.linalg.det(m)) + 1e-300) for m in mats]
-    if max(logs) - min(logs) > (10 * mats[0].shape[0] + 1) * matcore.TOL_MAJOR:
-        raise BadDeterminantError(
-            "matrices must have equal |det| (log spread %.3g)" % (max(logs) - min(logs)))
-
-
-def _check_unit_absdet(mats):
-    """The unit-|det| precondition of the unit-diagonal constructions; a
-    singular matrix fails it too."""
-    for m in mats:
-        d = abs(np.linalg.det(m))
-        if not abs(d - 1.0) <= 1e-6:
-            raise BadDeterminantError("matrices must have unit |det| (got %.6g)" % d)
+def _check_absdet(mats, unit=False):
+    """The |det| precondition of the joint constructions: equal |det|, or
+    unit |det| when ``unit``.  Compared on log|det| with one bound,
+    (10n + 1) * TOL_MAJOR, for both.  slogdet keeps it finite at any
+    size; a singular matrix (log|det| = -inf) fails either."""
+    logs = [float(np.linalg.slogdet(m)[1]) for m in mats]
+    bound = (10 * mats[0].shape[0] + 1) * matcore.TOL_MAJOR
+    off = max(abs(x) for x in logs) if unit else max(logs) - min(logs)
+    if not off <= bound:
+        raise BadDeterminantError("matrices must have %s |det| (log|det| off by %.3g)"
+                                  % ("unit" if unit else "equal", off))
 
 
 def _hermitian_2x2_or_raise(s):
@@ -265,26 +262,36 @@ def _check_unit_det_pair(a1, a2):
     m2 = matcore.as_cmatrix(a2)
     if m1.shape != (2, 2) or m2.shape != (2, 2):
         raise ShapeMismatchError("expected 2x2 matrices")
-    _check_unit_absdet([m1, m2])
+    _check_absdet([m1, m2], unit=True)
     return m1, m2
+
+
+def _pair_condition(m1, m2, r=1.0, upper_lower=False):
+    """The 2x2 existence test for a checked unit-|det| pair, as
+    (value, holds).
+
+    Same orientation (both upper triangular, diagonal (r, 1/r)): the value
+    is F1 of S_k = A_k^H A_k - r^2 I.  Mixed orientation (second matrix
+    lower triangular): F2 of S1 = A1^H A1 - r^2 I, S2 = A2^H A2 - I / r^2.
+    It holds when the value is not below zero by more than TOL_ZERO of
+    its scale and, for r != 1, both shifted forms are indefinite.
+    """
+    shift = float(r) ** 2
+    s1 = m1.conj().T @ m1 - shift * np.eye(2)
+    s2 = m2.conj().T @ m2 - (1.0 / shift if upper_lower else shift) * np.eye(2)
+    val = (f2 if upper_lower else f1)(s1, s2)
+    scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
+    holds = val >= -matcore.TOL_ZERO * scale
+    if holds and r != 1.0:
+        holds = _det2(s1).real <= matcore.TOL_ZERO and _det2(s2).real <= matcore.TOL_ZERO
+    return val, holds
 
 
 def exists_2gmd(a1, a2, r=1.0):
     """Existence of joint unit-phase triangularization of a 2x2 pair with
     common diagonal (r, 1/r); for r = 1 the test is F1 >= 0, and for
     general r the two shifted forms must also be indefinite."""
-    m1, m2 = _check_unit_det_pair(a1, a2)
-    shift = float(r) ** 2
-    s1 = m1.conj().T @ m1 - shift * np.eye(2)
-    s2 = m2.conj().T @ m2 - shift * np.eye(2)
-    val = f1(s1, s2)
-    scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
-    if val < -matcore.TOL_ZERO * scale:
-        return False
-    if r != 1.0:
-        if _det2(s1).real > matcore.TOL_ZERO or _det2(s2).real > matcore.TOL_ZERO:
-            return False
-    return True
+    return _pair_condition(*_check_unit_det_pair(a1, a2), r)[1]
 
 
 def construct_2gmd(a1, a2):
@@ -320,20 +327,23 @@ def kgmd_exact(matrices):
     common-null-vector route is attempted (guaranteed complete for K = 2);
     identical matrices reduce to the single-matrix case.  Anything else
     raises NotConstructibleError so callers can fall back to time
-    extensions.
+    extensions; for a 2x2 pair that fails the F1 test, its message names
+    the F1 value.
     """
     mats, n = _check_square_set(matrices)
     if not mats:
         raise ShapeMismatchError("need at least one matrix")
-    _equal_absdet_or_raise(mats)
-    _check_unit_absdet(mats)
-    if len(mats) == 1:
-        fac = gmd(mats[0])
-        return JointFactors(v=fac.v, users=[(fac.u, fac.r)], diag=fac.diag)
-    if all(np.allclose(m, mats[0], atol=1e-12) for m in mats[1:]):
+    _check_absdet(mats, unit=True)
+    scale = np.max(np.abs(mats[0]))
+    if all(np.max(np.abs(m - mats[0])) <= matcore.TOL_ZERO * scale for m in mats[1:]):
         fac = gmd(mats[0])
         return JointFactors(v=fac.v, users=[(fac.u, fac.r)] * len(mats), diag=fac.diag)
     if n == 2:
+        f1_val, holds = _pair_condition(mats[0], mats[1])
+        if not holds:
+            raise NotConstructibleError(
+                "exact joint unit-diagonal triangularization does not exist: "
+                "F1 = %.6g < 0" % f1_val)
         forms = [m.conj().T @ m - np.eye(2) for m in mats]
         try:
             witness = common_null_witness(forms[0], forms[1])
@@ -361,7 +371,7 @@ def kgmd_to_kjet(matrices, inner=None):
     mats, n = _check_square_set(matrices)
     if len(mats) < 2:
         raise ShapeMismatchError("need at least two matrices")
-    _equal_absdet_or_raise(mats)
+    _check_absdet(mats)
     if inner is None:
         inner = kgmd_exact
     last = mats[-1]
@@ -390,17 +400,7 @@ def jet2(a1, a2):
 def exists_upper_lower(a1, a2, r=1.0):
     """Existence of the mixed orientation: first matrix upper-triangular
     with diagonal (r, 1/r), second lower-triangular with the same diagonal."""
-    m1, m2 = _check_unit_det_pair(a1, a2)
-    s1 = m1.conj().T @ m1 - float(r) ** 2 * np.eye(2)
-    s2 = m2.conj().T @ m2 - np.eye(2) / float(r) ** 2
-    val = f2(s1, s2)
-    scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
-    if val < -matcore.TOL_ZERO * scale:
-        return False
-    if r != 1.0:
-        if _det2(s1).real > matcore.TOL_ZERO or _det2(s2).real > matcore.TOL_ZERO:
-            return False
-    return True
+    return _pair_condition(*_check_unit_det_pair(a1, a2), r, upper_lower=True)[1]
 
 
 def construct_upper_lower(a1, a2):
@@ -408,9 +408,15 @@ def construct_upper_lower(a1, a2):
 
     Returns (v, u1, r1_upper, u2, r2_lower).  The first column of V makes
     A1 v1 unit-norm (upper route); its reflected partner makes A2 v2
-    unit-norm, which is exactly the lower-triangular condition.
+    unit-norm, which is exactly the lower-triangular condition.  Raises
+    ConditionViolatedError naming the F2 value when the pair fails the
+    F2 test.
     """
     m1, m2 = _check_unit_det_pair(a1, a2)
+    f2_val, holds = _pair_condition(m1, m2, upper_lower=True)
+    if not holds:
+        raise ConditionViolatedError(
+            "mixed-orientation decomposition does not exist: F2 = %.6g < 0" % f2_val)
     s1 = m1.conj().T @ m1 - np.eye(2)
     s2 = matcore.adjugate(m2.conj().T @ m2 - np.eye(2))
     try:

@@ -74,10 +74,10 @@ class SicReport:
 def _check_psd(cov):
     c = matcore.as_cmatrix(cov)
     scale = np.max(np.abs(c)) + 1.0
-    if np.max(np.abs(c - c.conj().T)) > 1e-9 * scale:
+    if np.max(np.abs(c - c.conj().T)) > matcore.TOL_ZERO * scale:
         raise NotPsdError("covariance is not Hermitian")
     w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    if w[0] < -1e-9 * scale:
+    if w[0] < -matcore.TOL_ZERO * scale:
         raise NotPsdError("covariance has a negative eigenvalue %.3g" % w[0])
     return 0.5 * (c + c.conj().T)
 
@@ -109,7 +109,7 @@ def cov_sqrt(cov):
     work = c.copy()
     for j in range(n):
         pivot = work[j, j].real
-        if pivot < -1e-9 * scale:
+        if pivot < -matcore.TOL_ZERO * scale:
             raise NotPsdError("negative pivot in Cholesky factorization")
         if pivot <= 1e-14 * scale:
             continue

@@ -30,6 +30,9 @@ Both constructions return joint.JointFactors with ``n_ext`` set and
 joint.kgmd_to_kjet with nearly_kgmd as its inner step.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from . import matcore
@@ -43,7 +46,7 @@ from .gtd import gmd
 from .joint import (
     JointFactors,
     _check_square_set,
-    _check_unit_absdet,
+    _check_absdet,
     exists_2gmd,
     kgmd_to_kjet,
 )
@@ -116,7 +119,7 @@ def nearly_kgmd(matrices, n_ext):
     if not mats:
         raise ShapeMismatchError("need at least one matrix")
     k_users = len(mats)
-    _check_unit_absdet(mats)
+    _check_absdet(mats, unit=True)
     min_ext = n ** (k_users - 1)
     n_ext = int(n_ext)
     if n_ext < min_ext:
@@ -234,9 +237,10 @@ def required_extensions(fraction, n, k_users, mode="gmd"):
 
     mode "gmd": E = k_users - 1 (constant equal diagonals for k_users
     matrices).  mode "jet": E = k_users - 2 (equal diagonals only; one
-    user is absorbed by the quotient reduction).  ``fraction`` may be a
-    float or an exact fractions.Fraction; a fraction of exactly 1 is
-    achievable only when no coordinates are ever discarded (E = 0).
+    user is absorbed by the quotient reduction).  ``fraction`` may be an
+    exact fractions.Fraction, or a float read as the decimal it prints as
+    (0.9 means 9/10); a fraction of exactly 1 is achievable only when no
+    coordinates are ever discarded (E = 0).
     """
     if mode not in ("gmd", "jet"):
         raise ShapeMismatchError("mode must be 'gmd' or 'jet'")
@@ -244,24 +248,16 @@ def required_extensions(fraction, n, k_users, mode="gmd"):
         raise ShapeMismatchError("too few users for mode %r" % mode)
     exponent = k_users - 1 if mode == "gmd" else k_users - 2
     lost = n ** exponent - 1
-    frac = fraction
     try:
-        f_val = float(frac)
-    except (TypeError, ValueError) as exc:
-        raise UnachievableFractionError("fraction must be numeric") from exc
-    if not 0.0 < f_val <= 1.0:
+        frac = fraction if isinstance(fraction, Fraction) else Fraction(repr(float(fraction)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UnachievableFractionError("fraction must be a finite number") from exc
+    if not 0 < frac <= 1:
         raise UnachievableFractionError("fraction must lie in (0, 1]")
     if lost == 0:
         return 1
-    if f_val >= 1.0:
+    if frac == 1:
         raise UnachievableFractionError(
             "fraction 1 needs unbounded extensions when coordinates are discarded")
-    n_min = n ** exponent
-    # smallest N with (N - lost)/N >= fraction, i.e. N >= lost/(1 - fraction)
-    n_guess = int(np.ceil(lost / (1.0 - f_val) - 1e-9))
-    n_val = max(n_min, n_guess)
-    while (n_val - lost) / n_val < f_val - 1e-12:
-        n_val += 1
-    while n_val - 1 >= n_min and (n_val - 1 - lost) / (n_val - 1) >= f_val - 1e-12:
-        n_val -= 1
-    return n_val
+    # (N - lost) / N >= fraction  <=>  N >= lost / (1 - fraction), in exact rationals
+    return max(n ** exponent, math.ceil(lost / (1 - frac)))

@@ -31,8 +31,8 @@ def test_decompose_gmd(capsys):
 
 def test_decompose_gtd_with_target(capsys):
     code, out, _ = run_cli(
-        capsys, ["decompose", "--kind", "gtd", "--target", "3,1.3333333333333333"],
-        mat_json(np.diag([4.0, 1.0])))
+        capsys, ["decompose", "--kind", "gtd"],
+        dict(mat_json(np.diag([4.0, 1.0])), target=[3, 1.3333333333333333]))
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["diag"][0] - 3.0) < 1e-9
@@ -40,8 +40,8 @@ def test_decompose_gtd_with_target(capsys):
 
 def test_decompose_gtd_infeasible_exit_code(capsys):
     code, _out, err = run_cli(
-        capsys, ["decompose", "--kind", "gtd", "--target", "5,0.8"],
-        mat_json(np.diag([4.0, 1.0])))
+        capsys, ["decompose", "--kind", "gtd"],
+        dict(mat_json(np.diag([4.0, 1.0])), target=[5, 0.8]))
     assert code == cli.EXIT_INFEASIBLE
     assert "prefix" in err
 
@@ -108,6 +108,10 @@ _EYE = json.dumps(mat_json(np.eye(2)))
     ["decompose", "--kind", "gmd", "--seed", "1", "--inline", _EYE],
     ["spacetime", "--extensions", "4", "--tol", "1e-9", "--inline", _EYE],
     ["tables", "--trials", "10"],
+    ["decompose", "--kind", "gmd", "--format", "csv", "--inline", _EYE],
+    ["decompose", "--kind", "gtd", "--target", "1,1", "--inline", _EYE],
+    ["decompose", "--kind", "block", "--blocks", "1,1", "--dets", "1,1", "--inline", _EYE],
+    ["examples", "--name", "permuted", "--format", "json"],
 ])
 def test_flags_outside_their_command_are_usage_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -127,8 +131,8 @@ def test_decompose_upper_lower_and_block(capsys):
     a = np.diag([4.0, 2.0, 1.0, 0.125])
     code, out, _ = run_cli(
         capsys,
-        ["decompose", "--kind", "block", "--blocks", "2,2", "--dets", "6,0.16666666666666666"],
-        mat_json(a))
+        ["decompose", "--kind", "block"],
+        dict(mat_json(a), block_sizes=[2, 2], block_dets=[6, 0.16666666666666666]))
     assert code == 0
     assert json.loads(out)["boundaries"] == [0, 2]
 

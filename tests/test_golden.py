@@ -41,10 +41,10 @@ H = [[1, 0.5], [0.25, 2]]
 CASES = {
     "decompose_gmd": ["decompose", "--kind", "gmd", "--inline",
                       '{"rows":2,"cols":2,"data":[[2,0],[0,0],[0,0],[0.5,0]]}'],
-    "decompose_gtd": ["decompose", "--kind", "gtd", "--target", "3,1.3333333333333333"]
-    + _inline(_mat([[4, 1], [0, 1]])),
-    "decompose_block": ["decompose", "--kind", "block", "--blocks", "2,2",
-                        "--dets", "6,0.16666666666666666"] + _inline(_mat(BLOCK)),
+    "decompose_gtd": ["decompose", "--kind", "gtd"]
+    + _inline(dict(_mat([[4, 1], [0, 1]]), target=[3, 1.3333333333333333])),
+    "decompose_block": ["decompose", "--kind", "block"]
+    + _inline(dict(_mat(BLOCK), block_sizes=[2, 2], block_dets=[6, 0.16666666666666666])),
     "decompose_jet": ["decompose", "--kind", "jet"]
     + _inline({"matrices": [_mat(J1), _mat(J2)]}),
     "decompose_kgmd": ["decompose", "--kind", "kgmd"]

@@ -94,6 +94,78 @@ def test_jet2_det_precondition():
         joint.jet2(np.diag([2.0, 2.0]), np.eye(2))
 
 
+# --- the |det| precondition at large n ----------------------------------------
+# A random complex 400x400 matrix has |det| far above the float range, so
+# a check that forms det itself overflows.
+
+
+def test_normalize_equal_det_large_n():
+    rng = np.random.default_rng(40)
+    a = rand_complex(rng, 400)
+    scaled, factors = joint.normalize_equal_det([a])
+    assert np.isfinite(factors[0]) and factors[0] > 0
+    assert abs(np.exp(np.linalg.slogdet(scaled[0])[1]) - 1.0) < 1e-9
+    assert np.allclose(factors[0] * scaled[0], a)
+
+
+def test_jet2_large_n_names_equal_det():
+    rng = np.random.default_rng(41)
+    a = rand_complex(rng, 400)
+    b = rand_complex(rng, 400)
+    b *= np.exp((np.linalg.slogdet(a)[1] - np.linalg.slogdet(b)[1]) / 400)
+    with pytest.raises(BadDeterminantError, match="equal [|]det[|]"):
+        joint.jet2(a, 3 * b)
+
+
+def test_kgmd_exact_rejects_near_unit_det_in_one_check(monkeypatch):
+    # |det| = 1 + 5e-7 is well inside the old absolute 1e-6 slack, but its
+    # log (5e-7) exceeds the 2x2 bound 21 * TOL_MAJOR
+    calls = []
+    check = joint._check_absdet
+    monkeypatch.setattr(joint, "_check_absdet",
+                        lambda mats, unit=False: calls.append(unit) or check(mats, unit))
+    c = np.sqrt(1.0 + 5e-7)
+    a1 = c * np.array([[2, 1], [1, 1]], dtype=complex)
+    a2 = c * np.array([[1, 1j], [0, 1]], dtype=complex)
+    with pytest.raises(BadDeterminantError, match="unit [|]det[|]"):
+        joint.kgmd_exact([a1, a2])
+    assert calls == [True]
+    calls.clear()
+    joint.kgmd_exact([a1 / c, a2 / c])
+    assert calls == [True]
+
+
+def test_singular_matrix_fails_the_det_check():
+    with pytest.raises(BadDeterminantError):
+        joint.kgmd_exact([np.zeros((3, 3))])
+    with pytest.raises(BadDeterminantError):
+        joint.jet2(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_kgmd_exact_near_identical_matrices_are_not_identical():
+    rng = np.random.default_rng(42)
+    a = rand_unit_det(rng, 3)
+    b = a * (1.0 + 3.5e-6 * np.sign(rng.standard_normal((3, 3))))
+    b /= abs(np.linalg.det(b)) ** (1.0 / 3.0)
+    with pytest.raises(NotConstructibleError):
+        joint.kgmd_exact([a, b])
+    jf = joint.kgmd_exact([a, a.copy()])
+    assert recon_error(*jf.users[1], jf.v, a) < 1e-9
+
+
+def test_infeasible_2x2_errors_name_the_condition_value():
+    with pytest.raises(NotConstructibleError, match="F1 = -[0-9.e+-]+ < 0"):
+        joint.kgmd_exact([np.diag([8.0, 0.125]), np.diag([0.125, 8.0])])
+    rng = np.random.default_rng(43)
+    while True:
+        a1 = rand_unit_det(rng, 2)
+        a2 = rand_unit_det(rng, 2)
+        if not joint.exists_upper_lower(a1, a2):
+            break
+    with pytest.raises(ConditionViolatedError, match="F2 = -[0-9.e+-]+ < 0"):
+        joint.construct_upper_lower(a1, a2)
+
+
 def test_f1_zero_first_argument():
     rng = np.random.default_rng(3)
     s2 = rand_hermitian(rng)

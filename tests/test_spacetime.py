@@ -322,6 +322,19 @@ def test_required_extensions_boundary_and_errors():
         spacetime.required_extensions(1.5, 2, 2, "gmd")
 
 
+def test_required_extensions_exact_rationals():
+    from fractions import Fraction
+    # (N - 1) / N >= 999999/1000000 first holds at N = 1000000; a float
+    # search with slack stopped one short, where the kept fraction is below
+    assert spacetime.required_extensions(0.999999, 2, 2, "gmd") == 1000000
+    assert Fraction(999998, 999999) < Fraction("0.999999")
+    # a float is read as the decimal it prints as: 0.9 means 9/10
+    assert spacetime.required_extensions(0.9, 2, 2, "gmd") == 10
+    assert spacetime.required_extensions(Fraction(1, 3), 2, 3, "gmd") == 5
+    with pytest.raises(UnachievableFractionError):
+        spacetime.required_extensions(float("nan"), 2, 2, "gmd")
+
+
 # --- structured construction against the dense oracle -------------------------
 
 ORACLE_CASES = ([(2, 3, n_ext) for n_ext in (4, 5, 16, 64, 256)]
