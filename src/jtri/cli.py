@@ -144,6 +144,15 @@ def _residuals(mats, v, users, diag=None, lower=()):
     return out
 
 
+def _json_list(payload, key, types=(int, float), low=-np.inf):
+    """payload[key] if it is a list of JSON numbers of ``types`` (bool and
+    str are types of their own) at or above ``low``, else ParseError."""
+    value = payload.get(key)
+    if not isinstance(value, list) or not all(type(x) in types and x >= low for x in value):
+        raise ParseError("'%s' needs a list of %s" % (key, "counts" if low > 0 else "numbers"))
+    return value
+
+
 def _cmd_decompose(args):
     mats, payload = _payload_matrices(_load_payload(args))
     kind = args.kind
@@ -154,17 +163,11 @@ def _cmd_decompose(args):
         if kind == "gmd":
             fac = gtd_mod.gmd(a)
         elif kind == "gtd":
-            target = payload.get("target")
-            if target is None:
-                raise ParseError("gtd needs a 'target' field")
-            fac = gtd_mod.gtd(a, target)
+            fac = gtd_mod.gtd(a, _json_list(payload, "target"))
         else:
-            sizes = payload.get("block_sizes")
-            dets = payload.get("block_dets")
-            if sizes is None or dets is None:
-                raise ParseError("block needs block_sizes and block_dets")
-            fac = gtd_mod.block_gtd(a, gtd_mod.BlockSpec(block_sizes=sizes,
-                                                         block_dets=dets))
+            spec = gtd_mod.BlockSpec(block_sizes=_json_list(payload, "block_sizes", (int,), 1),
+                                     block_dets=_json_list(payload, "block_dets"))
+            fac = gtd_mod.block_gtd(a, spec)
         out = {
             "kind": kind,
             "u": fac.u, "r": fac.r, "v": fac.v,

@@ -11,11 +11,13 @@ block_gtd() -- block upper-triangular form with prescribed block
 
 Each decomposition costs one SVD plus O(n^2): a sweep of n - 1 rotation
 pairs on the SVD's diagonal places one target entry per step, in the
-caller's order.  Every step pairs the two cells that most tightly bracket
-the entry, which keeps the remaining cells majorizing the remaining
-targets whatever their order (see _gtd_sweep).
+caller's order, pairing the two cells that most tightly bracket it so
+the remaining cells keep majorizing the remaining targets.  The sweep is
+planned on scalars, then applied as in-place row rotations (_gtd_sweep).
 """
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,59 +79,59 @@ def _check_square_invertible(a):
 _SNAP = 4 * np.finfo(float).eps
 
 
-def _rot(c, s):
-    return np.array([[c, -s], [s, c]])
+def _swap_slots(keys, cells, slot, j, p):
+    """Slot j's cell moves to slot p; p's cell, out of ``keys``, to j (its value is set later)."""
+    if p != j:
+        keys.pop(bisect_left(keys, (cells[j], j)))
+        insort(keys, (cells[j], p))
+        cells[p], slot[j], slot[p] = cells[j], slot[p], slot[j]
 
 
-def _deflate(r_mat, u_mat, v_mat, j, target):
-    """One pairing step: diagonal entries (j, j+1) of r_mat, with target
-    between them, become (target, product/target).
+def _plan(sigma, target):
+    """The sweep's decisions, on scalars: (a, b, (c, s), (c_l, s_l), x) per
+    step, the final diagonal, and the cell (SVD column) in each slot.
 
-    Assumes rows j, j+1 of r_mat are zero outside the pair block and the
-    block itself is diagonal, which the sweep in _gtd_sweep maintains.
-    The rotation is worked out from d2/d1 and target/d1 as differences
-    times sums, so no square of the input's scale is formed and
-    cos^2, sin^2 each keep their relative accuracy.
+    ``keys`` holds the sorted (value, slot) pairs of the still-diagonal
+    slots: a bracket is a bisection, and among equal values the first slot
+    wins.  The right rotation [[c, -s], [s, c]] on cells a, b and the left
+    one (c_l, s_l) turn diag(d1, d2) into [[t, x], [0, d1*d2/t]]; they come
+    from d2/d1 and t/d1 as differences times sums, so no square of the
+    input's scale is formed and cos^2, sin^2 keep their relative accuracy.
     """
-    d1 = r_mat[j, j].real
-    d2 = r_mat[j + 1, j + 1].real
-    e = d2 / d1
-    t = target / d1
-    if abs(1.0 - e) <= 1e-15 * (1.0 + e):
-        c, s = 1.0, 0.0
-    else:
-        den = (1.0 - e) * (1.0 + e)
-        c = np.sqrt(min(max((t - e) * (t + e) / den, 0.0), 1.0))
-        s = np.sqrt(min(max((1.0 - t) * (1.0 + t) / den, 0.0), 1.0))
-        h = np.hypot(c, s)
-        c, s = c / h, s / h
-    gr = _rot(c, s)
-    h = np.hypot(c, s * e)
-    gl = _rot(c / h, s * e / h)
-    r_mat[:j + 2, j:j + 2] = r_mat[:j + 2, j:j + 2] @ gr
-    v_mat[:, j:j + 2] = v_mat[:, j:j + 2] @ gr
-    r_mat[j:j + 2, j:j + 2] = gl.T @ r_mat[j:j + 2, j:j + 2]
-    u_mat[:, j:j + 2] = u_mat[:, j:j + 2] @ gl
-    # the exact values of the new pair, which the rotated entries match
-    # to a few ulps
-    r_mat[j, j] = target
-    r_mat[j + 1, j] = 0.0
-    r_mat[j + 1, j + 1] = d1 * (d2 / target)
-
-
-def _swap_positions(r_mat, u_mat, v_mat, j, p):
-    """Exchange diagonal slots j and p (both in the still-diagonal trailing
-    block), keeping the factorization consistent."""
-    if j == p:
-        return
-    for m in (r_mat, u_mat, v_mat):
-        m[:, [j, p]] = m[:, [p, j]]
-    r_mat[[j, p], :] = r_mat[[p, j], :]
+    cells = sigma.tolist()
+    slot = list(range(len(cells)))
+    keys = sorted(zip(cells, slot))
+    steps = []
+    for k, t_k in enumerate(target.tolist()[:-1]):
+        # a: the smallest cell at or above t_k, else the largest
+        i = bisect_left(keys, (t_k * (1.0 - _SNAP), -1))
+        d1, p = keys.pop(i if i < len(keys) else bisect_left(keys, (keys[-1][0], -1)))
+        _swap_slots(keys, cells, slot, k, p)
+        # b: the largest other cell at or below t_k, else the smallest
+        i = bisect_left(keys, (t_k * (1.0 + _SNAP), math.inf))
+        d2, q = keys.pop(bisect_left(keys, (keys[i - 1][0], -1)) if i else 0)
+        _swap_slots(keys, cells, slot, k + 1, q)
+        t = min(max(t_k, min(d1, d2)), max(d1, d2))  # clamp roundoff at the edges
+        e, t1 = d2 / d1, t / d1
+        if abs(1.0 - e) <= 1e-15 * (1.0 + e):
+            c, s = 1.0, 0.0
+        else:
+            den = (1.0 - e) * (1.0 + e)
+            c = math.sqrt(min(max((t1 - e) * (t1 + e) / den, 0.0), 1.0))
+            s = math.sqrt(min(max((1.0 - t1) * (1.0 + t1) / den, 0.0), 1.0))
+            h = math.hypot(c, s)
+            c, s = c / h, s / h
+        h = math.hypot(c, s * e)
+        c_l, s_l = c / h, s * e / h
+        cells[k], cells[k + 1] = t, d1 * (d2 / t)
+        insort(keys, (cells[k + 1], k + 1))
+        steps.append((slot[k], slot[k + 1], ((c, s), (c_l, s_l)), s_l * d2 * c - c_l * d1 * s))
+    return steps, cells, slot
 
 
 def _gtd_sweep(fac, target):
     """GtdFactors whose r has the positive diagonal ``target``, in the
-    order given, starting from the SVD ``fac``.
+    order given, starting from the SVD ``fac``, which it leaves unchanged.
 
     Step k places target[k] in slot k by pairing the tightest bracketing
     cells of the still-diagonal block: a, the smallest cell at or above
@@ -142,29 +144,33 @@ def _gtd_sweep(fac, target):
     the targets) against the targets with t removed shows that the
     remaining cells still majorize the remaining targets, whatever order
     the targets come in.  (Pairing the overall largest with the overall
-    smallest cell can break this.)  Each step costs O(n), so the whole
-    decomposition is one SVD plus O(n^2).
+    smallest cell can break this.)
+
+    The choices depend on the diagonal alone, so _plan makes them first.
+    Each cell's columns of u, v and r are then one row of u^T and of
+    [v^T, r^T] (r's rows indexed by slot, zero from row k on above step
+    k's pair), so a step rotates two rows and two row prefixes in place;
+    the diagonal and the slot order go in at the end.
     """
     n = len(target)
-    u = fac.u.copy()
-    v = fac.v.copy()
-    r = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(r, fac.sigma)
-    for k in range(n - 1):
-        t_k = target[k]
-        cells = np.real(np.diag(r)[k:])
-        above = np.flatnonzero(cells >= t_k * (1.0 - _SNAP))
-        p = k + int(above[np.argmin(cells[above])] if above.size else np.argmax(cells))
-        _swap_positions(r, u, v, k, p)
-        cells = np.real(np.diag(r)[k + 1:])
-        below = np.flatnonzero(cells <= t_k * (1.0 + _SNAP))
-        q = k + 1 + int(below[np.argmax(cells[below])] if below.size else np.argmin(cells))
-        _swap_positions(r, u, v, k + 1, q)
-        d1 = r[k, k].real
-        d2 = r[k + 1, k + 1].real
-        t = min(max(t_k, min(d1, d2)), max(d1, d2))  # clamp roundoff at the edges
-        _deflate(r, u, v, k, t)
-    return GtdFactors(u=u, r=r, v=v, diag=np.real(np.diag(r)).copy())
+    steps, diag, slot = _plan(fac.sigma, np.asarray(target, dtype=float))
+    u_t = fac.u.T.copy()   # the sweep rotates in place; fac is the caller's
+    w = np.concatenate([fac.v.T, np.zeros((n, n), dtype=np.complex128)], axis=1)
+    tmp = np.empty((2, 2 * n), dtype=np.complex128)
+    for k, (a, b, rotations, x) in enumerate(steps):
+        for m, (c, s), end in zip((w, u_t), rotations, (n + k, n)):
+            row_a, row_b, sa, sb = m[a, :end], m[b, :end], tmp[0, :end], tmp[1, :end]
+            np.multiply(row_a, s, out=sa)
+            np.multiply(row_b, s, out=sb)
+            row_a *= c
+            row_a += sb
+            row_b *= c
+            row_b -= sa
+        w[b, n + k] = x
+    idx = np.array(slot)
+    r = w[idx, n:].T
+    np.fill_diagonal(r, diag)
+    return GtdFactors(u=u_t[idx].T, r=r, v=w[idx, :n].T, diag=np.array(diag))
 
 
 def gtd(a, target_diag):

@@ -18,6 +18,7 @@ its text from the four-entry signed-zero table ``[0.0,0.0]``,
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -284,10 +285,10 @@ def matrix_from_json(obj):
     if pairs.shape != (rows * cols, 2):
         raise ParseError("data of shape %s does not hold %d x %d [re, im] pairs"
                          % (pairs.shape, rows, cols))
-    # numpy reads None as NaN; only a literal NaN may pass (as_cmatrix
-    # rejects it downstream), so look for null where a NaN appeared
-    if np.isnan(pairs).any() and any(x is None for pair in data for x in pair):
-        raise ParseError("data holds null where a number is expected")
+    # numpy reads "1.5" and true as numbers and null as NaN; a JSON number
+    # loads as int or float (a literal NaN passes: as_cmatrix rejects it)
+    if not set(map(type, chain.from_iterable(data))) <= {int, float}:
+        raise ParseError("data holds a string, boolean or null where a number is expected")
     return pairs.view(np.complex128).reshape(rows, cols)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jtri
 from jtri import cli, matcore
 from util import per_entry_document, rand_complex, rand_unit_det
 
@@ -143,12 +147,45 @@ def test_decompose_parse_error(capsys):
     assert "parse error" in err
 
 
-@pytest.mark.parametrize("data", ["[[null,0]]", '[["abc",0]]', "[[[1],2]]"])
+@pytest.mark.parametrize("data", ["[[null,0]]", '[["abc",0]]', "[[[1],2]]", '[["1.5",0]]',
+                                  "[[1.5,true]]", '[["2",false]]'])
 def test_decompose_bad_matrix_entry_is_parse_error(data, capsys):
     inline = '{"rows":1,"cols":1,"data":%s}' % data
     code, out, err = run_cli(capsys, ["decompose", "--kind", "gmd", "--inline", inline])
     assert code == cli.EXIT_PARSE
     assert out == "" and "parse error" in err
+
+
+_BLOCK_OK = {"block_sizes": [2, 2], "block_dets": [6, 0.16666666666666666]}
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("gtd", {}),
+    ("gtd", {"target": "ab"}),
+    ("gtd", {"target": [4, 2, "1", 0.125]}),
+    ("gtd", {"target": [4, 2, True, 0.125]}),
+    ("block", {"block_sizes": [2, 2]}),
+    ("block", dict(_BLOCK_OK, block_dets=[[2, 0], [0.5, 0]])),
+    ("block", dict(_BLOCK_OK, block_dets=["6", 0.16666666666666666])),
+    ("block", dict(_BLOCK_OK, block_dets=[6, False])),
+    ("block", dict(_BLOCK_OK, block_sizes=[2.0, 2])),
+    ("block", dict(_BLOCK_OK, block_sizes=[4, 0])),
+    ("block", dict(_BLOCK_OK, block_sizes=[True, 3])),
+    ("block", dict(_BLOCK_OK, block_sizes="22")),
+])
+def test_decompose_malformed_parameters_are_parse_errors(kind, fields, capsys):
+    payload = dict(mat_json(np.diag([4.0, 2.0, 1.0, 0.125])), **fields)
+    code, out, err = run_cli(capsys, ["decompose", "--kind", kind], payload)
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(jtri.__file__))
+    code = "import sys, jtri, jtri.cli; sys.exit(int('scipy' in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert done.returncode == 0
 
 
 def test_decompose_requires_exactly_one_source(capsys):

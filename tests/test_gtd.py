@@ -12,6 +12,7 @@ from jtri.errors import (
     SingularMatrixError,
 )
 from util import (
+    gtd_sweep_reference,
     majorization_reference,
     rand_complex,
     rand_unit_det,
@@ -463,3 +464,74 @@ def test_first_failing_group_matches_reference(seed, m, unit, kind):
             with pytest.raises(MajorizationError) as err:
                 gtd.gtd(a, dets)
             assert err.value.failing_prefix == want
+
+
+# --- the planned sweep against the step-by-step reference --------------------
+
+
+def _sweep_input(rng, n, shape):
+    """An n x n input: complex Gaussian, repeated singular values, the
+    identity, a scaled unitary, or condition number 1e10."""
+    if shape == "repeated":
+        sig = np.sort(np.resize(np.exp(rng.standard_normal(max(1, n // 3))), n))[::-1]
+        return (rand_unitary(rng, n) * sig) @ rand_unitary(rng, n).conj().T
+    if shape == "identity":
+        return np.eye(n, dtype=complex)
+    if shape == "unitary":
+        return np.exp(rng.uniform(-5.0, 5.0)) * rand_unitary(rng, n)
+    if shape == "illcond" and n > 1:
+        return _conditioned_input(rng, n, 0.0, 10.0)
+    return rand_complex(rng, n)
+
+
+def _sweep_target(rng, sig, kind, w):
+    """What gmd, gtd (shuffled) or block_gtd hands to the sweep."""
+    if kind == "gmd":
+        return np.full(sig.size, _scaled_target(sig, 1.0)[0])
+    t = _scaled_target(sig, w)
+    rng.shuffle(t)
+    if kind == "block":
+        # geometric means over runs of a feasible target stay feasible
+        cuts = np.sort(rng.choice(np.arange(1, sig.size), size=min(3, sig.size - 1),
+                                  replace=False)) if sig.size > 1 else []
+        t = np.concatenate([np.full(len(p), np.exp(np.mean(np.log(p))))
+                            for p in np.split(t, cuts)])
+    return t
+
+
+def _assert_matches_reference(fac, t):
+    new = gtd._gtd_sweep(fac, t)
+    ref = gtd_sweep_reference(fac, t)
+    for name in ("u", "r", "v"):
+        x, y = getattr(new, name), getattr(ref, name)
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y)), name
+    assert not np.any(np.tril(new.r, -1))
+    assert np.array_equal(new.diag, np.real(np.diag(new.r)))
+    assert np.array_equal(new.diag, ref.diag)
+    assert np.max(np.abs(new.diag / t - 1.0)) <= 1e-12
+
+
+@_settings
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1), w=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["gmd", "gtd", "block"]),
+       shape=st.sampled_from(["random", "repeated", "identity", "unitary", "illcond"]))
+def test_sweep_matches_reference(n, seed, w, kind, shape):
+    rng = np.random.default_rng(seed)
+    fac = matcore.svd(_sweep_input(rng, n, shape))
+    _assert_matches_reference(fac, _sweep_target(rng, fac.sigma, kind, w))
+
+
+@pytest.mark.parametrize("kind", ["gmd", "gtd", "block"])
+def test_sweep_matches_reference_n256(kind):
+    rng = np.random.default_rng(16)
+    fac = matcore.svd(rand_complex(rng, 256))
+    _assert_matches_reference(fac, _sweep_target(rng, fac.sigma, kind, 0.5))
+
+
+def test_sweep_leaves_the_svd_unchanged():
+    rng = np.random.default_rng(17)
+    fac = matcore.svd(rand_complex(rng, 32))
+    before = [m.copy() for m in (fac.u, fac.v, fac.sigma)]
+    gtd._gtd_sweep(fac, _scaled_target(fac.sigma, 0.5))
+    for m, old in zip((fac.u, fac.v, fac.sigma), before):
+        assert m.tobytes() == old.tobytes()

@@ -236,10 +236,12 @@ def test_json_parse_errors():
         matcore.matrix_from_json({"rows": "two", "cols": 1, "data": [[1, 0]]})
     with pytest.raises(ParseError):
         matcore.matrix_from_json({"rows": -1, "cols": -1, "data": [[1, 0]]})
-    # null must not turn into NaN; strings, nesting and wrong pair lengths
-    # are parse errors, not uncaught TypeError/ValueError
+    # null must not turn into NaN, nor a numeric string or a boolean into a
+    # number; strings, nesting and wrong pair lengths are parse errors, not
+    # uncaught TypeError/ValueError
     for data in ([[None, 0]], [[0, None]], [["abc", 0]], [[[1], 2]], [[1, 2, 3]],
-                 [1, 2], 7, None, {"re": 1}):
+                 [1, 2], 7, None, {"re": 1}, [["1.5", True]], [[1.5, False]], [["2", 0]],
+                 [[True, 0.0]]):
         with pytest.raises(ParseError):
             matcore.matrix_from_json({"rows": 1, "cols": 1, "data": data})
 

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: random matrix generators, the
 independent brute-force search oracles used to cross-check the
-closed-form existence tests, and the dense reference constructions.
+closed-form existence tests, and the reference constructions: the GTD
+pairing sweep done with physical slot swaps, and the dense time
+extension.
 
 The oracles deliberately avoid the library's F1/F2 route: they search
 for a unit vector making the required column norms equal to one, over a
@@ -17,7 +19,7 @@ from jtri.errors import (
     NotSquareError,
     OverlappingGroupsError,
 )
-from jtri.gtd import gmd
+from jtri.gtd import GtdFactors, gmd
 from jtri.joint import JointFactors
 
 
@@ -251,6 +253,85 @@ def per_entry_document(obj):
     if isinstance(obj, (list, tuple)):
         return [per_entry_document(value) for value in obj]
     return obj
+
+
+# --- GTD pairing sweep oracle --------------------------------------------------
+
+_SNAP = 4 * np.finfo(float).eps
+
+
+def _rot(c, s):
+    return np.array([[c, -s], [s, c]])
+
+
+def _deflate(r_mat, u_mat, v_mat, j, target):
+    """One pairing step: diagonal entries (j, j+1) of r_mat, with target
+    between them, become (target, product/target).
+
+    Assumes rows j, j+1 of r_mat are zero outside the pair block and the
+    block itself is diagonal, which the sweep maintains.  The rotation is
+    worked out from d2/d1 and target/d1 as differences times sums.
+    """
+    d1 = r_mat[j, j].real
+    d2 = r_mat[j + 1, j + 1].real
+    e = d2 / d1
+    t = target / d1
+    if abs(1.0 - e) <= 1e-15 * (1.0 + e):
+        c, s = 1.0, 0.0
+    else:
+        den = (1.0 - e) * (1.0 + e)
+        c = np.sqrt(min(max((t - e) * (t + e) / den, 0.0), 1.0))
+        s = np.sqrt(min(max((1.0 - t) * (1.0 + t) / den, 0.0), 1.0))
+        h = np.hypot(c, s)
+        c, s = c / h, s / h
+    gr = _rot(c, s)
+    h = np.hypot(c, s * e)
+    gl = _rot(c / h, s * e / h)
+    r_mat[:j + 2, j:j + 2] = r_mat[:j + 2, j:j + 2] @ gr
+    v_mat[:, j:j + 2] = v_mat[:, j:j + 2] @ gr
+    r_mat[j:j + 2, j:j + 2] = gl.T @ r_mat[j:j + 2, j:j + 2]
+    u_mat[:, j:j + 2] = u_mat[:, j:j + 2] @ gl
+    r_mat[j, j] = target
+    r_mat[j + 1, j] = 0.0
+    r_mat[j + 1, j + 1] = d1 * (d2 / target)
+
+
+def _swap_positions(r_mat, u_mat, v_mat, j, p):
+    """Exchange diagonal slots j and p (both in the still-diagonal trailing
+    block), keeping the factorization consistent."""
+    if j == p:
+        return
+    for m in (r_mat, u_mat, v_mat):
+        m[:, [j, p]] = m[:, [p, j]]
+    r_mat[[j, p], :] = r_mat[[p, j], :]
+
+
+def gtd_sweep_reference(fac, target):
+    """gtd._gtd_sweep done step by step on the dense factors: each step
+    scans the diagonal for the tightest bracket, moves the two cells into
+    slots k, k+1 by physical column and row swaps, and rotates n x 2
+    slices by 2 x 2 matrix products.  Kept as the reference the planned,
+    in-place sweep is compared with."""
+    n = len(target)
+    u = fac.u.copy()
+    v = fac.v.copy()
+    r = np.zeros((n, n), dtype=np.complex128)
+    np.fill_diagonal(r, fac.sigma)
+    for k in range(n - 1):
+        t_k = target[k]
+        cells = np.real(np.diag(r)[k:])
+        above = np.flatnonzero(cells >= t_k * (1.0 - _SNAP))
+        p = k + int(above[np.argmin(cells[above])] if above.size else np.argmax(cells))
+        _swap_positions(r, u, v, k, p)
+        cells = np.real(np.diag(r)[k + 1:])
+        below = np.flatnonzero(cells <= t_k * (1.0 + _SNAP))
+        q = k + 1 + int(below[np.argmax(cells[below])] if below.size else np.argmin(cells))
+        _swap_positions(r, u, v, k + 1, q)
+        d1 = r[k, k].real
+        d2 = r[k + 1, k + 1].real
+        t = min(max(t_k, min(d1, d2)), max(d1, d2))  # clamp roundoff at the edges
+        _deflate(r, u, v, k, t)
+    return GtdFactors(u=u, r=r, v=v, diag=np.real(np.diag(r)).copy())
 
 
 # --- dense time-extension oracle ----------------------------------------------
