@@ -12,8 +12,8 @@ Commands put numpy arrays into their output documents as they are, and
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for the
 document with each array as its matrix object, with all-zero [re, im]
 pairs taken from a four-entry signed-zero table.  A non-finite number is
-never written: it fails the command with exit 4 (5 when it sits in a
-matrix, as for a non-finite input), except that ``simulate`` reports an
+never written: it fails the command with exit 4, in a matrix or as a
+scalar (a non-finite input exits 5), except that ``simulate`` reports an
 infinite SNR as null.
 
 Exit codes: 0 success, 2 parse error, 3 the requested decomposition is

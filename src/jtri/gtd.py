@@ -68,6 +68,8 @@ def _check_square_invertible(a):
     n, cols = m.shape
     if n != cols:
         raise NotSquareError("need a square matrix, got %d x %d" % (n, cols))
+    if n == 0:
+        raise ShapeMismatchError("need a nonempty matrix")
     fac = matcore.svd(m)
     if fac.sigma[-1] <= matcore.TOL_RANK * max(fac.sigma[0], 1e-300):
         raise SingularMatrixError("matrix is singular to working precision")

@@ -9,9 +9,11 @@ triangularization has a closed-form existence test, the sign of
     F1(S1, S2) = det(S1 adj(S2) - S2 adj(S1)),   S_k = A_k^H A_k - I,
 
 and the constructive witness is a unit vector annihilating both quadratic
-forms, which this module solves case by case (exists_2gmd /
-construct_2gmd).  A companion test F2 decides the mixed upper/lower
-orientation (exists_upper_lower / construct_upper_lower).
+forms (exists_2gmd / construct_2gmd).  It has one closed form: on the
+null circle of one form the other reads A + B cos(phase), and
+(c - a)^2 (B^2 - A^2) = F1, so the phase solves cos(phase) = -A / B
+(common_null_witness).  A companion test F2 decides the mixed
+upper/lower orientation (exists_upper_lower / construct_upper_lower).
 """
 
 from dataclasses import dataclass
@@ -61,14 +63,6 @@ class JointFactors:
         return self.v.shape[1]
 
 
-@dataclass
-class QuadraticWitness:
-    """Unit vector with v^H S1 v = v^H S2 v = 0 and solver provenance."""
-    v1: np.ndarray
-    t: float | None
-    case_id: int
-
-
 def _det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
@@ -80,6 +74,8 @@ def _check_square_set(mats):
         m = matcore.as_cmatrix(a)
         if m.shape[0] != m.shape[1]:
             raise NotSquareError("all matrices must be square")
+        if m.shape[0] == 0:
+            raise ShapeMismatchError("matrices must be nonempty")
         if n is None:
             n = m.shape[0]
         elif m.shape[0] != n:
@@ -146,112 +142,55 @@ def f2(s1, s2):
     return float(_det2(m).real)
 
 
-# --- the common-null-vector solver ------------------------------------------
-
-_CASE_TOL = 1e-10
+# --- the common null vector ---------------------------------------------------
 
 
-def _xy_from_sums(x_sq, y_sq, w, z):
-    """Recover v = (x1 + i x2, y1 + i y2) from
-    x1^2+x2^2, y1^2+y2^2, x1 y1 + x2 y2, x2 y1 - x1 y2.
-    The free global phase is spent making the first component real."""
-    x_sq = max(x_sq, 0.0)
-    y_sq = max(y_sq, 0.0)
-    if x_sq >= y_sq:
-        x1 = np.sqrt(x_sq)
-        y1 = w / x1
-        y2 = -z / x1
-    else:
-        y1 = np.sqrt(y_sq)
-        x1 = w / y1
-        x2 = z / y1
-        v = np.array([x1 + 1j * x2, y1])
-        return v / np.linalg.norm(v)
-    v = np.array([x1, y1 + 1j * y2])
-    return v / np.linalg.norm(v)
+def _eigen_gap(h):
+    return np.hypot((h[0, 0] - h[1, 1]).real, 2.0 * abs(h[0, 1]))
 
 
-def common_null_witness(s1, s2):
-    """Unit vector v with v^H S1 v = v^H S2 v = 0 for Hermitian 2x2 pairs.
+def common_null_witness(*forms):
+    """Unit vector v with v^H S v = 0 for each of two or more Hermitian
+    2x2 forms S.
 
-    Requires det(S1) <= 0, det(S2) <= 0 and F1(S1, S2) >= 0; raises
-    ConditionViolatedError otherwise.  The solver diagonalizes S1 and
-    branches on the classic four cases of the reduced real system.
+    The null vectors of an indefinite S = Q diag(a, c) Q^H, a <= 0 <= c,
+    make up the circle Q (cos t, e^{ip} sin t) with cos^2 t = c / (c - a).
+    On it a second form reads A + B cos(p + arg beta), where beta is its
+    off-diagonal entry in Q's basis, A = (a2 c - c2 a) / (c - a) and
+    B = 2 sqrt(-ac) |beta| / (c - a).  As (c - a)^2 (B^2 - A^2) = F1 of
+    the pair, the two share a null vector exactly when F1 >= 0, at
+    cos(p + arg beta) = -A / B (any p when B = 0; p = 0 is taken).
+
+    The circle is that of the form with the widest eigenvalue gap, so a
+    numerically zero form never defines it, and the second form is the one
+    with the largest |beta|, so a form proportional to the first never
+    leaves the phase free while another fixes it.  Both roots are tried in
+    turn; the first one that nulls every form within TOL_ZERO (all forms
+    scaled by their largest norm where that exceeds 1) is returned.
+    Otherwise raises ConditionViolatedError.
     """
-    h1 = _hermitian_2x2_or_raise(s1)
-    h2 = _hermitian_2x2_or_raise(s2)
-    # the problem is invariant to positive rescaling of either form;
-    # scale large inputs down but never blow up a numerically zero form
-    g1 = h1 / max(np.linalg.norm(h1), 1.0)
-    g2 = h2 / max(np.linalg.norm(h2), 1.0)
-    if _det2(g1).real > _CASE_TOL:
-        raise ConditionViolatedError("first form is definite; no null vector")
-    if _det2(g2).real > _CASE_TOL:
-        raise ConditionViolatedError("second form is definite; no null vector")
-    evals, q = np.linalg.eigh(g1)
-    a1, c1 = float(evals[0]), float(evals[1])
-    t2 = q.conj().T @ g2 @ q
-    a2, c2 = float(t2[0, 0].real), float(t2[1, 1].real)
-    b2, beta2 = float(t2[0, 1].real), float(t2[0, 1].imag)
-
-    if abs(a1 - c1) <= _CASE_TOL * (abs(a1) + abs(c1) + 1.0):
-        # S1 is (numerically) zero: any null-value vector of S2 works
-        lam, w = np.linalg.eigh(t2)
-        lo, hi = float(lam[0]), float(lam[1])
-        if hi - lo <= 0:
-            v_loc = np.array([1.0, 0.0], dtype=complex)
-        else:
-            ch = np.sqrt(min(max(hi / (hi - lo), 0.0), 1.0))
-            sh = np.sqrt(max(1.0 - ch * ch, 0.0))
-            v_loc = w @ np.array([ch, sh], dtype=complex)
-        case_id, t_par = 2, None
-    elif abs(b2) > _CASE_TOL * (abs(a2) + abs(c2) + abs(b2) + abs(beta2) + 1.0):
-        # general position: one-parameter family, quadratic in t
-        qa = -((a1 - c1) ** 2) * (b2 * b2 + beta2 * beta2)
-        qb = 2.0 * beta2 * (a2 * c1 - a1 * c2) * (a1 - c1)
-        qc = -4.0 * a1 * c1 * b2 * b2 - (a2 * c1 - a1 * c2) ** 2
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < -1e-12:
-            raise ConditionViolatedError("no common null vector (negative discriminant)")
-        root = np.sqrt(max(disc, 0.0))
-        bmat = np.array([[1.0, 0.0, 0.0, 1.0],
-                         [a1, 0.0, 0.0, c1],
-                         [a2, b2, beta2, c2],
-                         [0.0, 0.0, 1.0, 0.0]])
-        best = None
-        for t_cand in ((-qb + root) / (2.0 * qa), (-qb - root) / (2.0 * qa)):
-            x_sq, two_w, two_z, y_sq = np.linalg.solve(bmat, [1.0, 0.0, 0.0, t_cand])
-            score = min(x_sq, y_sq)
-            if best is None or score > best[0]:
-                best = (score, t_cand, x_sq, two_w, two_z, y_sq)
-        _, t_par, x_sq, two_w, two_z, y_sq = best
-        v_loc = _xy_from_sums(x_sq, y_sq, two_w / 2.0, two_z / 2.0)
-        case_id = 1
-    elif abs(beta2) > _CASE_TOL * (abs(a2) + abs(c2) + abs(beta2) + 1.0):
-        den = (a1 - c1) * beta2
-        f5 = -beta2 * c1 / den
-        f6 = (a2 * c1 - a1 * c2) / den
-        f7 = a1 * beta2 / den
-        gap = 4.0 * f5 * f7 - f6 * f6
-        if f5 < -1e-12 or f7 < -1e-12 or gap < -1e-12:
-            raise ConditionViolatedError("no common null vector (case 3 conditions)")
-        w = np.sqrt(max(f5 * f7 - (f6 / 2.0) ** 2, 0.0))
-        v_loc = _xy_from_sums(f5, f7, w, f6 / 2.0)
-        case_id, t_par = 3, None
-    else:
-        # both forms diagonal in this basis: rows must be proportional
-        mismatch = a2 * c1 - a1 * c2
-        if abs(mismatch) > 1e-10 * (abs(a2) + abs(c2) + 1.0) * (abs(a1) + abs(c1)):
-            raise ConditionViolatedError("no common null vector (diagonal mismatch)")
-        den = c1 - a1
-        x_sq = c1 / den
-        y_sq = -a1 / den
-        # the cross terms are unconstrained here; pick the consistent value
-        v_loc = _xy_from_sums(x_sq, y_sq, np.sqrt(max(x_sq * y_sq, 0.0)), 0.0)
-        case_id, t_par = 4, None
-    v = q @ v_loc
-    v = v / np.linalg.norm(v)
-    return QuadraticWitness(v1=v, t=t_par, case_id=case_id)
+    if len(forms) < 2:
+        raise ShapeMismatchError("need at least two forms")
+    hs = [_hermitian_2x2_or_raise(s) for s in forms]
+    scale = max(1.0, max(np.linalg.norm(h) for h in hs))
+    gs = [h / scale for h in hs]
+    circle, *rest = sorted(gs, key=_eigen_gap, reverse=True)
+    (a, c), q = np.linalg.eigh(circle)
+    t = max((q.conj().T @ g @ q for g in rest), key=lambda m: abs(m[0, 1]))
+    # the widest gap is zero only when every form is a multiple of I
+    gap = c - a
+    cos_t, sin_t = np.sqrt(np.clip([c / gap, -a / gap], 0.0, 1.0)) if gap > 0 else (1.0, 0.0)
+    big_a = t[0, 0].real * cos_t ** 2 + t[1, 1].real * sin_t ** 2
+    big_b = 2.0 * cos_t * sin_t * abs(t[0, 1])
+    # B = 0 leaves the phase free; phase 1 keeps a real pair's witness real
+    x, turn = ((min(max(-big_a / big_b, -1.0), 1.0), np.conj(t[0, 1]) / abs(t[0, 1]))
+               if big_b > 0 else (1.0, 1.0))
+    y = np.sqrt(1.0 - x * x)
+    for phase in ((x - 1j * y) * turn, (x + 1j * y) * turn):
+        v = q @ np.array([cos_t, phase * sin_t])
+        if all(abs(v.conj() @ g @ v) <= matcore.TOL_ZERO for g in gs):
+            return v
+    raise ConditionViolatedError("no common null vector of the %d forms" % len(gs))
 
 
 # --- 2x2 joint decompositions -------------------------------------------------
@@ -303,8 +242,7 @@ def construct_2gmd(a1, a2):
     m1, m2 = _check_unit_det_pair(a1, a2)
     s1 = m1.conj().T @ m1 - np.eye(2)
     s2 = m2.conj().T @ m2 - np.eye(2)
-    witness = common_null_witness(s1, s2)
-    return _finish_joint_from_v1([m1, m2], witness.v1)
+    return _finish_joint_from_v1([m1, m2], common_null_witness(s1, s2))
 
 
 def _finish_joint_from_v1(mats, v1):
@@ -344,16 +282,11 @@ def kgmd_exact(matrices):
             raise NotConstructibleError(
                 "exact joint unit-diagonal triangularization does not exist: "
                 "F1 = %.6g < 0" % f1_val)
-        forms = [m.conj().T @ m - np.eye(2) for m in mats]
         try:
-            witness = common_null_witness(forms[0], forms[1])
+            v1 = common_null_witness(*[m.conj().T @ m - np.eye(2) for m in mats])
         except ConditionViolatedError as exc:
             raise NotConstructibleError(str(exc)) from exc
-        for s in forms[2:]:
-            if abs(witness.v1.conj() @ s @ witness.v1) > 1e-8 * (np.linalg.norm(s) + 1):
-                raise NotConstructibleError(
-                    "no common null vector across all %d matrices" % len(mats))
-        return _finish_joint_from_v1(mats, witness.v1)
+        return _finish_joint_from_v1(mats, v1)
     raise NotConstructibleError(
         "no exact construction known for %d matrices of size %d" % (len(mats), n))
 
@@ -420,11 +353,10 @@ def construct_upper_lower(a1, a2):
     s1 = m1.conj().T @ m1 - np.eye(2)
     s2 = matcore.adjugate(m2.conj().T @ m2 - np.eye(2))
     try:
-        witness = common_null_witness(s1, s2)
+        v1 = common_null_witness(s1, s2)
     except ConditionViolatedError as exc:
         raise ConditionViolatedError(
             "upper/lower decomposition does not exist: %s" % exc) from exc
-    v1 = witness.v1
     v2 = np.array([np.conj(v1[1]), -np.conj(v1[0])])
     v = np.column_stack([v1, v2])
     fac1 = matcore.qr(m1 @ v)

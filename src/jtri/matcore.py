@@ -311,7 +311,10 @@ def _holds_array(obj):
 
 def _write(obj, out):
     if isinstance(obj, np.ndarray):
-        m = as_cmatrix(obj)
+        try:
+            m = as_cmatrix(obj)
+        except NotFiniteError as exc:
+            raise NumericalError("output holds a non-finite matrix entry") from exc
         re = m.real.ravel()
         im = m.imag.ravel()
         parts = _ZERO_PAIRS[2 * np.signbit(re) + np.signbit(im)]
@@ -349,10 +352,9 @@ def dumps(obj):
     its matrix object :func:`matrix_to_json`.
 
     The text equals ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
-    of that document byte for byte.  A matrix with a non-finite entry
-    raises NotFiniteError (from :func:`as_cmatrix`); a non-finite scalar
-    raises NumericalError, so the text never holds NaN or Infinity.  A
-    subtree that holds no array goes to the json encoder whole.
+    of that document byte for byte.  A non-finite number, in a matrix or
+    as a scalar, raises NumericalError, so the text never holds NaN or
+    Infinity.  A subtree that holds no array goes to the json encoder whole.
     """
     out = []
     _write(obj, out)

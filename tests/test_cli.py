@@ -353,6 +353,32 @@ def test_non_finite_scalar_output_is_numerical_failure(capsys, monkeypatch, tmp_
     assert not out_path.exists()
 
 
+def test_non_finite_matrix_output_is_numerical_failure(capsys, monkeypatch):
+    jet2 = cli.joint_mod.jet2
+
+    def nan_precoder(a1, a2):
+        factors = jet2(a1, a2)
+        factors.v = np.full_like(factors.v, np.nan)
+        return factors
+
+    monkeypatch.setattr(cli.joint_mod, "jet2", nan_precoder)
+    code, out, err = run_cli(capsys, ["examples", "--name", "rateless2", "--rate", "4"])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("args, inline", [
+    (["decompose", "--kind", "gmd"], {"rows": 0, "cols": 0, "data": []}),
+    (["decompose", "--kind", "jet"], {"matrices": [{"rows": 0, "cols": 0, "data": []}] * 2}),
+    (["spacetime", "--mode", "gmd", "--extensions", "2"],
+     {"matrices": [{"rows": 0, "cols": 0, "data": []}] * 2}),
+])
+def test_empty_matrix_is_dimension_error(args, inline, capsys):
+    code, out, err = run_cli(capsys, args, inline)
+    assert code == cli.EXIT_DIMENSION
+    assert out == "" and "nonempty" in err
+
+
 def test_simulate_reports_infinite_snr_as_null(capsys, monkeypatch):
     simulate_sic = cli.multicast.simulate_sic
 

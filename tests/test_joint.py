@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jtri import gtd, joint, matcore
+from jtri import gtd, joint, matcore, spacetime
 from jtri.errors import (
     BadDeterminantError,
     ConditionViolatedError,
+    DimensionError,
     NotConstructibleError,
     NotHermitianError,
+    ShapeMismatchError,
 )
 from util import (
     gmd2_residual,
@@ -142,6 +146,17 @@ def test_singular_matrix_fails_the_det_check():
         joint.jet2(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_empty_matrices_are_dimension_errors():
+    e = np.zeros((0, 0))
+    calls = [lambda: gtd.gmd(e), lambda: gtd.gtd(e, []),
+             lambda: gtd.block_gtd(e, gtd.BlockSpec(block_sizes=[], block_dets=[])),
+             lambda: joint.kgmd_exact([e, e]), lambda: joint.jet2(e, e),
+             lambda: spacetime.nearly_kgmd([e, e], 2)]
+    for call in calls:
+        with pytest.raises(DimensionError, match="nonempty"):
+            call()
+
+
 def test_kgmd_exact_near_identical_matrices_are_not_identical():
     rng = np.random.default_rng(42)
     a = rand_unit_det(rng, 3)
@@ -195,7 +210,8 @@ def test_f1_unitary_invariance():
 
 
 def test_quadratic_coefficients_match_f1():
-    # discriminant identity behind the case-1 solver: b^2 - 4ac = 4 Delta^2 F1
+    # discriminant identity of the real quadratic in the paper's case 1:
+    # b^2 - 4ac = 4 Delta^2 F1
     rng = np.random.default_rng(5)
     for _ in range(100):
         a1, c1 = sorted(rng.standard_normal(2))
@@ -207,8 +223,15 @@ def test_quadratic_coefficients_match_f1():
         qc = -4.0 * a1 * c1 * b2 * b2 - (a2 * c1 - a1 * c2) ** 2
         delta = b2 * (c1 - a1)
         lhs = qb * qb - 4.0 * qa * qc
-        rhs = 4.0 * delta * delta * joint.f1(s1, s2)
+        f1_val = joint.f1(s1, s2)
+        rhs = 4.0 * delta * delta * f1_val
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+        # the null-circle form: on S1's null circle S2 reads A + B cos(.),
+        # and (c - a)^2 (B^2 - A^2) = F1
+        big_a = (a2 * c1 - c2 * a1) / (c1 - a1)
+        big_b_sq = -4.0 * a1 * c1 * (b2 * b2 + beta2 * beta2) / (c1 - a1) ** 2
+        circle = (c1 - a1) ** 2 * (big_b_sq - big_a * big_a)
+        assert abs(circle - f1_val) <= 1e-12 * (1.0 + abs(circle) + abs(f1_val))
 
 
 def test_exists_2gmd_identity_pair():
@@ -260,31 +283,31 @@ def test_construct_2gmd_case2_unitary_input():
     a2 = rand_unit_det(rng, 2)
     if not joint.exists_2gmd(u, a2):
         a2 = np.eye(2, dtype=complex)
+    # a unitary input's form is numerically zero, so it never defines the
+    # null circle
     s1 = u.conj().T @ u - np.eye(2)
     s2 = a2.conj().T @ a2 - np.eye(2)
-    witness = joint.common_null_witness(s1, s2)
-    assert witness.case_id == 2
+    v = joint.common_null_witness(s1, s2)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert abs(v.conj() @ s1 @ v) < 1e-12
+    assert abs(v.conj() @ s2 @ v) < 1e-12
     jf = joint.construct_2gmd(u, a2)
     assert np.max(np.abs(jf.diag - 1.0)) < 1e-8
 
 
 def test_construct_2gmd_case3_and_case4_paths():
-    # case 3: S2 off-diagonal purely imaginary in S1's eigenbasis
+    # S2's off-diagonal entry is purely imaginary in S1's eigenbasis
     s1 = np.diag([1.0, -1.0]).astype(complex)
     s2 = np.array([[0.5, 0.9j], [-0.9j, 0.5]])
-    w = joint.common_null_witness(s1, s2)
-    assert w.case_id == 3
-    v = w.v1
+    v = joint.common_null_witness(s1, s2)
     assert abs(v.conj() @ s1 @ v) < 1e-10
     assert abs(v.conj() @ s2 @ v) < 1e-10
-    # case 4: both diagonal with proportional rows
+    # both diagonal with proportional rows
     s2d = np.diag([2.0, -2.0]).astype(complex)
-    w = joint.common_null_witness(s1, s2d)
-    assert w.case_id == 4
-    v = w.v1
+    v = joint.common_null_witness(s1, s2d)
     assert abs(v.conj() @ s1 @ v) < 1e-10
     assert abs(v.conj() @ s2d @ v) < 1e-10
-    # case 4 mismatch: diagonal but not proportional
+    # diagonal but not proportional
     with pytest.raises(ConditionViolatedError):
         joint.common_null_witness(s1, np.diag([2.0, -1.0]).astype(complex))
 
@@ -324,6 +347,108 @@ def test_construct_2gmd_infeasible_raises():
     a1, a2 = sample_pair(rng, feasible=False)
     with pytest.raises(ConditionViolatedError):
         joint.construct_2gmd(a1, a2)
+
+
+def _random_pairs(n, seed):
+    """n unit-|det| complex 2x2 pairs, drawn as rand_unit_det draws them."""
+    z = np.random.default_rng(seed).standard_normal((n, 2, 2, 2, 2))
+    a = z[:, :, 0] + 1j * z[:, :, 1]
+    return a / np.sqrt(np.abs(np.linalg.det(a)))[..., None, None]
+
+
+@pytest.mark.parametrize("construct", ["construct_2gmd", "construct_upper_lower"])
+def test_2x2_constructions_hold_unit_diagonals_on_20000_random_pairs(construct):
+    # a case split on the paper's real quadratic loses about 6 digits on
+    # about 1 pair in 10^4 (2.9e-9 and 9.9e-9 here)
+    worst, built = 0.0, 0
+    for a1, a2 in _random_pairs(20000, seed=2):
+        try:
+            out = getattr(joint, construct)(a1, a2)
+        except ConditionViolatedError:
+            continue
+        built += 1
+        rs = [r for _, r in out.users] if construct == "construct_2gmd" else [out[2], out[4]]
+        worst = max(worst, max(np.max(np.abs(np.real(np.diag(r)) - 1.0)) for r in rs))
+    assert built > 13000
+    assert worst <= 1e-12
+
+
+def test_kgmd_exact_builds_triples_sharing_a_null_vector():
+    # A_k = U_k [[1, x_k], [0, 1]] V^H: V e1 nulls every A_k^H A_k - I.  In
+    # the last 50 triples the first two x_k are equal, so two forms are too.
+    rng = np.random.default_rng(44)
+    for i in range(450):
+        v = rand_unitary(rng, 2)
+        xs = rand_complex(rng, 3, 1)[:, 0]
+        if i >= 400:
+            xs[1] = xs[0]
+        mats = [rand_unitary(rng, 2) @ np.array([[1.0, x], [0.0, 1.0]]) @ v.conj().T
+                for x in xs]
+        jf = joint.kgmd_exact(mats)
+        for (u, r), a in zip(jf.users, mats):
+            assert np.max(np.abs(np.real(np.diag(r)) - 1.0)) <= 1e-12
+            assert recon_error(u, r, jf.v, a) <= 1e-12
+    with pytest.raises(ShapeMismatchError):
+        joint.common_null_witness(np.eye(2))
+
+
+def _relative_condition(a1, a2, upper_lower):
+    """F1 (or F2) of a unit-|det| pair over the scale the existence tests
+    compare it with."""
+    s1 = a1.conj().T @ a1 - np.eye(2)
+    s2 = a2.conj().T @ a2 - np.eye(2)
+    val = (joint.f2 if upper_lower else joint.f1)(s1, s2)
+    return val / ((np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0)
+
+
+def _boundary_pair(seed, value, upper_lower):
+    """A unit-|det| pair whose relative F1 (or F2) equals ``value``: the
+    second matrix is bisected along the segment between a feasible and an
+    infeasible partner of the first."""
+    rng = np.random.default_rng(seed)
+    a1 = rand_unit_det(rng, 2)
+    ends = {}
+    while len(ends) < 2:
+        b = rand_unit_det(rng, 2)
+        ends.setdefault(_relative_condition(a1, b, upper_lower) > 0, b)
+
+    def at(lam):
+        m = (1.0 - lam) * ends[True] + lam * ends[False]
+        return m / np.sqrt(abs(np.linalg.det(m)))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _relative_condition(a1, at(mid), upper_lower) > value:
+            lo = mid
+        else:
+            hi = mid
+    return a1, at(lo)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_margin=st.floats(-6.0, -2.0),
+       feasible=st.booleans(), upper_lower=st.booleans())
+def test_existence_and_construction_at_the_boundary(seed, log_margin, feasible, upper_lower):
+    value = 10.0 ** log_margin * (1.0 if feasible else -1.0)
+    a1, a2 = _boundary_pair(seed, value, upper_lower)
+    if upper_lower:
+        exists = joint.exists_upper_lower(a1, a2)
+        oracle = upper_lower_residual(a1, a2)
+    else:
+        exists = joint.exists_2gmd(a1, a2)
+        oracle = gmd2_residual(a1, a2)
+    # 300 sampled pairs at relative margins of 1e-6 or more gave oracle
+    # residuals above 6e-7 on the infeasible side, below 2e-15 on the other
+    assert exists == feasible == (oracle <= 1e-9)
+    if exists:
+        if upper_lower:
+            _, _, r1, _, r2 = joint.construct_upper_lower(a1, a2)
+            rs = [r1, r2]
+        else:
+            rs = [r for _, r in joint.construct_2gmd(a1, a2).users]
+        for r in rs:
+            assert np.max(np.abs(np.real(np.diag(r)) - 1.0)) <= 1e-12
 
 
 def test_kgmd_exact_k1_is_gmd():

@@ -328,7 +328,7 @@ def test_dumps_rejects_non_finite():
             matcore.dumps({"x": bad})
         with pytest.raises(NumericalError):
             matcore.dumps({"m": np.eye(2), "x": [1.0, bad]})
-        with pytest.raises(NotFiniteError):
+        with pytest.raises(NumericalError):
             matcore.dumps({"m": np.array([[1.0, bad]])})
 
 
