@@ -261,9 +261,11 @@ def _finish_joint_from_v1(mats, v1):
 def kgmd_exact(matrices):
     """Exact joint unit-diagonal triangularization, where available.
 
-    K = 1 is the geometric mean decomposition.  For 2x2 families the
-    common-null-vector route is attempted (guaranteed complete for K = 2);
-    identical matrices reduce to the single-matrix case.  Anything else
+    K = 1 is the geometric mean decomposition.  For 2x2 families of any K
+    the common-null-vector route is complete: the factors exist exactly
+    when the forms A_k^H A_k - I share a null vector, and
+    common_null_witness finds one whenever they do.  Identical matrices
+    reduce to the single-matrix case.  Anything else
     raises NotConstructibleError so callers can fall back to time
     extensions; for a 2x2 pair that fails the F1 test, its message names
     the F1 value.
