@@ -22,8 +22,6 @@ Identical invocations (including --seed) produce byte-identical output.
 """
 
 import argparse
-import ctypes
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -205,10 +203,8 @@ def _cmd_spacetime(args):
     mats, _payload = _payload_matrices(_load_payload(args))
     if args.mode == "gmd":
         factors = spacetime.nearly_kgmd(mats, args.extensions)
-        exponent = len(mats) - 1
     else:
         factors = spacetime.nearly_kjet(mats, args.extensions)
-        exponent = len(mats) - 2
     n = factors.n
     kept = factors.kept_dim
     total = n * factors.n_ext
@@ -219,7 +215,7 @@ def _cmd_spacetime(args):
         "extensions": factors.n_ext,
         "kept_dim": kept,
         "efficiency": kept / total,
-        "min_extensions": n ** exponent,
+        "min_extensions": spacetime.discarded_uses(n, len(mats), args.mode) + 1,
         "kept_indices": [int(i) for i in factors.kept_indices],
         "v": factors.v,
         "users": [{"u": u, "t": t} for u, t in factors.users],
@@ -237,8 +233,8 @@ def _cmd_tables(args):
         frac = table_fraction(pct)
         n_gmd = spacetime.required_extensions(frac, n, k_users, "gmd")
         n_jet = spacetime.required_extensions(frac, n, k_users, "jet")
-        f_gmd = (n_gmd - (n ** (k_users - 1) - 1)) / n_gmd
-        f_jet = (n_jet - (n ** (k_users - 2) - 1)) / n_jet
+        f_gmd = (n_gmd - spacetime.discarded_uses(n, k_users, "gmd")) / n_gmd
+        f_jet = (n_jet - spacetime.discarded_uses(n, k_users, "jet")) / n_jet
         lines.append("%d,%d,%s,%d,%s" % (pct, n_gmd, _fmt(f_gmd), n_jet, _fmt(f_jet)))
         rows["percent"].append(pct)
         rows["gmd"].append(n_gmd)
@@ -427,32 +423,6 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _malloc_trim():
-    """glibc's malloc_trim, or None where the C library has none."""
-    try:
-        return ctypes.CDLL(None).malloc_trim    # the process's own C library
-    except (OSError, AttributeError, TypeError):
-        return None
-
-
-def _release_freed_memory():
-    """Give the heap memory a command freed back to the OS.
-
-    glibc returns freed heap memory only from the heap's top, and only past
-    a trim threshold that it raises with each large block freed.  In a
-    process that runs several commands, how much freed memory the heap
-    still holds then depends on the order of earlier frees, and it adds to
-    the next command's peak: the peak RSS of ``simulate`` after
-    ``spacetime`` varied by up to 100 MB between runs of the same commands.
-    Trimming after each command starts every command from a heap that
-    holds almost no free memory.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -473,8 +443,6 @@ def main(argv=None):
     except JtriError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        _release_freed_memory()
 
 
 if __name__ == "__main__":

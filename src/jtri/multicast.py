@@ -154,14 +154,13 @@ def scheme_rates(diag, n_ext=1):
 
 
 def _complex_normal(rng, shape):
-    """(standard_normal + 1j * standard_normal) / sqrt(2), real parts drawn
-    first, built in place: the same bits as that expression, without its
-    three full-size temporaries."""
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= np.sqrt(2.0)
-    return out
+    """Unit-variance circularly-symmetric complex Gaussian draws."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+# entries per array of a block of trials (4 MB complex): simulate_sic draws
+# _BLOCK_ENTRIES // max(streams, noise rows) trials at a time
+_BLOCK_ENTRIES = 1 << 18
 
 
 def simulate_sic(problem, factors, trials, seed, noise=True):
@@ -171,32 +170,38 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
     Unit-variance symbols enter through the shared precoder, each user
     filters with its own left factor, and already-decoded streams are
     removed exactly (genie-aided, as appropriate for capacity-achieving
-    scalar codes).  The remaining interference plus filtered noise is the
-    denominator.  Predicted SNRs are r_j^2 - 1 from the effective
-    triangular matrix.  With ``noise=False`` interference-free streams
-    report infinite SNR.
+    scalar codes).  With S = front q1 g v the effective matrix and
+    front = u^H q1^H, the residual of stream j after cancelling streams
+    j+1..m is sum_{i<j} S_ji x_i + front_j w: the interference of the
+    streams still to come plus filtered noise w.  Its power is the
+    denominator, |S_jj x_j|^2 the numerator, and the reported SNR is the
+    ratio of their means, with a delta-method standard error.  Predicted
+    SNRs are r_j^2 - 1 from the effective triangular matrix.  With
+    ``noise=False`` interference-free streams report infinite SNR.
 
-    Deterministic for a fixed (seed, trials): draws come from a
-    counter-based generator in a fixed order, and the estimator uses
-    numpy reductions only.
+    Trials are drawn and reduced in blocks of about _BLOCK_ENTRIES
+    complex entries, keeping four running sums per stream, so memory is
+    bounded by the block whatever the number of trials.  Deterministic
+    for a fixed (seed, trials): draws come from a counter-based generator
+    in a fixed order (each block's symbols, then each user's noise), and
+    the estimator uses numpy reductions only.
 
     ``factors`` is a joint.JointFactors with one (u, r) pair per user;
     with n_ext > 1 each channel is time-extended n_ext times.  For square
     (exact) factors the measured SNR converges to the prediction on every
     stream.  For rectangular time-extension factors the interior streams
     behave the same way, but the few streams adjacent to the discarded
-    coordinates can deviate, since the exact cancellation identity
-    involves the dropped subspace.
+    coordinates measure a higher SNR than r_j^2 - 1: there the
+    prediction is conservative, and the measurement agrees with the
+    closed form |S_jj|^2 / (sum_{i<j} |S_ji|^2 + ||front_j||^2).
     """
     if trials < 1:
         raise DimensionMismatchError("trials must be positive")
     if len(factors.users) != len(problem.users):
         raise DimensionMismatchError("one factor pair per user required")
     v = factors.v
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     m_streams = v.shape[1]
-    x_sym = _complex_normal(rng, (m_streams, trials))
-    reports = []
+    links, predicted = [], []
     for (h, (u, _r)) in zip(problem.users, factors.users):
         qfac = _augmented_qr(h, problem.cov)
         g = qfac.r
@@ -208,35 +213,36 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
             raise DimensionMismatchError("factor height differs from extended n_t")
         front = u.conj().T @ q1.conj().T          # m x (n_r * n_ext)
         signal = front @ (q1 @ (g @ v))           # m x m effective matrix
-        r_eff = u.conj().T @ (g @ v)
-        predicted = np.abs(np.diag(r_eff)) ** 2 - 1.0
-        if noise:
-            # the noise term first, so its draw is freed before the signal
-            # term is formed; the sum is the same either way round
-            y_eff = front @ _complex_normal(rng, (q1.shape[0], trials))
-            y_eff += signal @ x_sym
-        else:
-            y_eff = signal @ x_sym
-        measured = np.empty(m_streams)
-        stderr = np.empty(m_streams)
-        for j in range(m_streams):
-            decoded = y_eff[j] - signal[j, j + 1:] @ x_sym[j + 1:]
-            sig = signal[j, j] * x_sym[j]
-            decoded -= sig                        # the noise part
-            p_sig = np.abs(sig) ** 2
-            p_noise = np.abs(decoded) ** 2
-            ms, mn = np.mean(p_sig), np.mean(p_noise)
-            if mn <= 1e-20 * ms:
-                # interference-free stream measured without noise injection:
-                # the denominator is pure floating-point residue
-                measured[j] = np.inf
-                stderr[j] = np.inf
-                continue
+        predicted.append(np.abs(np.diag(u.conj().T @ (g @ v))) ** 2 - 1.0)
+        links.append((front, np.diag(signal)[:, None], np.tril(signal, -1)))
+    block = max(1, _BLOCK_ENTRIES // max(m_streams, *(f.shape[1] for f, _, _ in links)))
+    # per user and stream: sums of p_sig, p_sig^2, p_noise, p_noise^2
+    sums = np.zeros((len(links), 4, m_streams))
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        x_sym = _complex_normal(rng, (m_streams, count))
+        for k, (front, diag, lower) in enumerate(links):
+            resid = lower @ x_sym
+            if noise:
+                resid += front @ _complex_normal(rng, (front.shape[1], count))
+            p_sig = np.abs(diag * x_sym) ** 2
+            p_noise = np.abs(resid) ** 2
+            sums[k] += (p_sig.sum(axis=1), (p_sig * p_sig).sum(axis=1),
+                        p_noise.sum(axis=1), (p_noise * p_noise).sum(axis=1))
+    reports = []
+    for pred, (s_sig, s_sig2, s_noise, s_noise2) in zip(predicted, sums):
+        ms, mn = s_sig / trials, s_noise / trials
+        with np.errstate(divide="ignore", invalid="ignore"):
             ratio = ms / mn
-            rel_var = (np.var(p_sig) / (ms * ms) + np.var(p_noise) / (mn * mn)) / trials
-            measured[j] = ratio
-            stderr[j] = ratio * np.sqrt(max(rel_var, 0.0))
-        reports.append(SicReport(measured_snr=measured, predicted_snr=predicted,
+            rel_var = ((s_sig2 / trials - ms * ms) / (ms * ms)
+                       + (s_noise2 / trials - mn * mn) / (mn * mn)) / trials
+        # a stream measured without noise injection and free of interference
+        # has a denominator of pure floating-point residue
+        residue = mn <= 1e-20 * ms
+        measured = np.where(residue, np.inf, ratio)
+        stderr = np.where(residue, np.inf, ratio * np.sqrt(np.maximum(rel_var, 0.0)))
+        reports.append(SicReport(measured_snr=measured, predicted_snr=pred,
                                  std_error=stderr, trials=int(trials),
                                  seed=int(seed)))
     return reports

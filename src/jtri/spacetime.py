@@ -120,7 +120,7 @@ def nearly_kgmd(matrices, n_ext):
         raise ShapeMismatchError("need at least one matrix")
     k_users = len(mats)
     _check_absdet(mats, unit=True)
-    min_ext = n ** (k_users - 1)
+    min_ext = discarded_uses(n, k_users) + 1
     n_ext = int(n_ext)
     if n_ext < min_ext:
         raise TooFewExtensionsError(
@@ -194,7 +194,7 @@ def rephase_to_reflection(u1, u2, v):
     of real det(+1) matrix pairs; the triangular parts are unchanged.
     """
     dets = [np.linalg.det(np.asarray(m)) for m in (u1, u2, v)]
-    if max(abs(dets[0] - d) for d in dets) > 1e-8:
+    if max(abs(dets[0] - d) for d in dets) > _REFLECTION_TOL:
         raise FormMismatchError("factor determinants disagree; cannot rephase jointly")
     phase = np.exp(0.5j * (np.pi - np.angle(dets[2])))
     return u1 * phase, u2 * phase, v * phase
@@ -231,23 +231,31 @@ def real_embedding_2gmd(a1, a2, u1, u2, v):
     return tuple(out)
 
 
-def required_extensions(fraction, n, k_users, mode="gmd"):
-    """Smallest number of jointly processed channel uses whose kept
-    fraction (N - (n^E - 1)) / N reaches ``fraction``.
+def discarded_uses(n, k_users, mode="gmd"):
+    """Channel uses lost to the time extension, n^E - 1 of the N (so
+    n * (n^E - 1) discarded coordinates), whatever N is.
 
     mode "gmd": E = k_users - 1 (constant equal diagonals for k_users
     matrices).  mode "jet": E = k_users - 2 (equal diagonals only; one
-    user is absorbed by the quotient reduction).  ``fraction`` may be an
-    exact fractions.Fraction, or a float read as the decimal it prints as
-    (0.9 means 9/10); a fraction of exactly 1 is achievable only when no
-    coordinates are ever discarded (E = 0).
+    user is absorbed by the quotient reduction).  The smallest usable
+    extension is n^E, one more than the loss.
     """
     if mode not in ("gmd", "jet"):
         raise ShapeMismatchError("mode must be 'gmd' or 'jet'")
     if k_users < 1 or (mode == "jet" and k_users < 2):
         raise ShapeMismatchError("too few users for mode %r" % mode)
-    exponent = k_users - 1 if mode == "gmd" else k_users - 2
-    lost = n ** exponent - 1
+    return n ** (k_users - 1 if mode == "gmd" else k_users - 2) - 1
+
+
+def required_extensions(fraction, n, k_users, mode="gmd"):
+    """Smallest number of jointly processed channel uses whose kept
+    fraction (N - (n^E - 1)) / N reaches ``fraction``, with n^E - 1 from
+    discarded_uses.  ``fraction`` may be an exact fractions.Fraction, or
+    a float read as the decimal it prints as (0.9 means 9/10); a fraction
+    of exactly 1 is achievable only when no coordinates are ever
+    discarded (E = 0).
+    """
+    lost = discarded_uses(n, k_users, mode)
     try:
         frac = fraction if isinstance(fraction, Fraction) else Fraction(repr(float(fraction)))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -260,4 +268,4 @@ def required_extensions(fraction, n, k_users, mode="gmd"):
         raise UnachievableFractionError(
             "fraction 1 needs unbounded extensions when coordinates are discarded")
     # (N - lost) / N >= fraction  <=>  N >= lost / (1 - fraction), in exact rationals
-    return max(n ** exponent, math.ceil(lost / (1 - frac)))
+    return max(lost + 1, math.ceil(lost / (1 - frac)))

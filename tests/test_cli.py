@@ -394,18 +394,3 @@ def test_simulate_reports_infinite_snr_as_null(capsys, monkeypatch):
     assert code == 0
     stream = json.loads(out)["streams"][0]
     assert stream["measured_snr"] is None and stream["std_error"] is None
-
-
-def test_every_command_trims_the_heap_after_it_runs(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "_malloc_trim", lambda: calls.append)
-    code, _out, _err = run_cli(capsys, ["tables"])
-    assert code == 0 and calls == [0]
-    code, _out, _err = run_cli(capsys, ["decompose", "--kind", "gmd", "--inline", "{bad"])
-    assert code == cli.EXIT_PARSE and calls == [0, 0]
-
-
-def test_heap_trim_runs_without_a_c_library_hook(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_malloc_trim", lambda: None)
-    code, _out, _err = run_cli(capsys, ["tables"])
-    assert code == 0

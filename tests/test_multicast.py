@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from jtri.errors import (
     ShapeMismatchError,
     TooManyUsersError,
 )
-from util import rand_complex, rand_unitary
+from util import rand_complex, rand_unitary, sic_sinr
 
 
 def white_problem(users, power=None):
@@ -225,6 +226,56 @@ def test_simulate_sic_time_extension_factors(n_ext):
         assert np.all(gap <= 4.0 * r.std_error[fac.n:])
     with pytest.raises(DimensionMismatchError):
         multicast.simulate_sic(white_problem(users[:2], power=2.0), fac, trials=10, seed=0)
+
+
+def _sinr_cases():
+    """(problem, factors) pairs: gmd of one 4x4 user, jet2 of two 2x2
+    users, and nearly_kjet of three 2x2 users at N = 4 and 8; the users
+    of a family share their singular values, hence their rate."""
+    rng = np.random.default_rng(3)
+    h = rand_complex(rng, 4, 4)
+    prob = white_problem([h], power=4.0)
+    fac = gtd.gmd(multicast.canonical_matrix(h, prob.cov))
+    yield prob, joint.JointFactors(v=fac.v, users=[(fac.u, fac.r)], diag=fac.diag)
+    users = [rand_unitary(rng, 2) @ np.diag([2.5, 1.2]) @ rand_unitary(rng, 2).conj().T
+             for _ in range(2)]
+    prob = white_problem(users, power=2.0)
+    yield prob, joint.jet2(*[multicast.canonical_matrix(h, prob.cov) for h in users])
+    users = [rand_unitary(rng, 2) @ np.diag([3.0, 1.5]) @ rand_unitary(rng, 2).conj().T
+             for _ in range(3)]
+    prob = white_problem(users, power=2.0)
+    gs = [multicast.canonical_matrix(h, prob.cov) for h in users]
+    for n_ext in (4, 8):
+        yield prob, spacetime.nearly_kjet(gs, n_ext)
+
+
+@pytest.mark.parametrize("block_entries", [None, 64])
+def test_simulate_sic_matches_the_closed_form_sinr(block_entries, monkeypatch):
+    # every stream of every user, edge streams of the time extension
+    # included; 64 entries per block runs many blocks and a ragged last one
+    if block_entries is not None:
+        monkeypatch.setattr(multicast, "_BLOCK_ENTRIES", block_entries)
+    for prob, fac in _sinr_cases():
+        reports = multicast.simulate_sic(prob, fac, trials=10001, seed=5)
+        for r, exact in zip(reports, sic_sinr(prob, fac), strict=True):
+            assert np.all(np.abs(r.measured_snr - exact) <= 4.0 * r.std_error)
+
+
+def test_simulate_sic_memory_does_not_grow_with_trials():
+    rng = np.random.default_rng(10)
+    h = rand_complex(rng, 4, 4)
+    prob = white_problem([h], power=4.0)
+    fac = gtd.gmd(multicast.canonical_matrix(h, prob.cov))
+    jf = joint.JointFactors(v=fac.v, users=[(fac.u, fac.r)], diag=fac.diag)
+    peaks = []
+    for trials in (200000, 800000):
+        tracemalloc.start()
+        try:
+            multicast.simulate_sic(prob, jf, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_rateless_channels_shapes_and_gains():

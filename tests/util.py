@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: random matrix generators, the
 independent brute-force search oracles used to cross-check the
 closed-form existence tests, and the reference constructions: the GTD
-pairing sweep done with physical slot swaps, and the dense time
-extension.
+pairing sweep done with physical slot swaps, the dense time
+extension, and the closed-form SINR of the SIC receiver.
 
 The oracles deliberately avoid the library's F1/F2 route: they search
 for a unit vector making the required column norms equal to one, over a
@@ -12,7 +12,7 @@ dense grid with multistart local refinement.
 import numpy as np
 from scipy.optimize import minimize
 
-from jtri import matcore, spacetime
+from jtri import matcore, multicast, spacetime
 from jtri.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -383,3 +383,26 @@ def nearly_kgmd_dense(matrices, n_ext):
     users = list(zip(u_mats, t_mats))
     return JointFactors(v=v_total, users=users, diag=diag, n_ext=n_ext,
                         kept_indices=coords)
+
+
+# --- closed-form SIC SINR -------------------------------------------------------
+
+
+def sic_sinr(problem, factors):
+    """Exact per-stream SINR of the genie-aided SIC receiver, one array per
+    user: |S_jj|^2 / (sum_{i<j} |S_ji|^2 + ||front_j||^2), with
+    front = u^H q1^H and S = front q1 g v (Forney, "Shannon meets Wiener",
+    2004).  It is the ratio of expected signal and residual powers that
+    multicast.simulate_sic estimates by drawing symbols and noise."""
+    out = []
+    for h, (u, _r) in zip(problem.users, factors.users):
+        qfac = multicast._augmented_qr(h, problem.cov)
+        q1, g = qfac.q[:h.shape[0], :], qfac.r
+        if factors.n_ext > 1:
+            q1 = matcore.time_extend(q1, factors.n_ext)
+            g = matcore.time_extend(g, factors.n_ext)
+        front = u.conj().T @ q1.conj().T
+        power = np.abs(front @ q1 @ g @ factors.v) ** 2
+        noise = np.tril(power, -1).sum(axis=1) + (np.abs(front) ** 2).sum(axis=1)
+        out.append(np.diag(power) / noise)
+    return out
