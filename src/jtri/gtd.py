@@ -71,7 +71,7 @@ def _check_square_invertible(a):
     if n == 0:
         raise ShapeMismatchError("need a nonempty matrix")
     fac = matcore.svd(m)
-    if fac.sigma[-1] <= matcore.TOL_RANK * max(fac.sigma[0], 1e-300):
+    if fac.sigma[-1] <= matcore.TOL_RANK * fac.sigma[0]:
         raise SingularMatrixError("matrix is singular to working precision")
     return m, fac
 

@@ -354,33 +354,14 @@ def construct_upper_lower(a1, a2):
             "mixed-orientation decomposition does not exist: F2 = %.6g < 0" % f2_val)
     s1 = m1.conj().T @ m1 - np.eye(2)
     s2 = matcore.adjugate(m2.conj().T @ m2 - np.eye(2))
-    try:
-        v1 = common_null_witness(s1, s2)
-    except ConditionViolatedError as exc:
-        raise ConditionViolatedError(
-            "upper/lower decomposition does not exist: %s" % exc) from exc
+    v1 = common_null_witness(s1, s2)
     v2 = np.array([np.conj(v1[1]), -np.conj(v1[0])])
     v = np.column_stack([v1, v2])
     fac1 = matcore.qr(m1 @ v)
-    u1, r1 = fac1.q, fac1.r
-    # lower-triangular factor: orthonormalize the columns of A2 V in
-    # reverse order, with the positive-diagonal phase convention
-    b = m2 @ v
-    q2 = b[:, 1] / np.linalg.norm(b[:, 1])
-    resid = b[:, 0] - q2 * (q2.conj() @ b[:, 0])
-    nr = np.linalg.norm(resid)
-    if nr <= matcore.TOL_RANK * np.linalg.norm(b):
-        raise SingularMatrixError("second matrix is numerically singular")
-    q1 = resid / nr
-    u2 = np.column_stack([q1, q2])
-    r2 = u2.conj().T @ b
-    phases = np.diag(r2) / np.abs(np.diag(r2))
-    u2 = u2 * phases[np.newaxis, :]
-    r2 = phases.conj()[:, np.newaxis] * r2
-    r2[0, 1] = 0.0
-    r2[0, 0] = r2[0, 0].real
-    r2[1, 1] = r2[1, 1].real
-    return v, u1, r1, u2, r2
+    # lower-triangular factor: QR of A2 V with its columns reversed,
+    # reversed back (A2 V P = Q R gives A2 V = (Q P)(P R P))
+    fac2 = matcore.qr((m2 @ v)[:, ::-1])
+    return v, fac1.q, fac1.r, fac2.q[:, ::-1], fac2.r[::-1, ::-1]
 
 
 def joint_block_feasible(a1, a2, block_sizes, det_ratios):

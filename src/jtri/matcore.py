@@ -1,6 +1,6 @@
 """Dense complex matrix core: QR/SVD wrappers with fixed conventions,
-adjugate, time extension, multiplicative majorization, and the JSON matrix
-interchange format.
+2x2 adjugate, time extension, multiplicative majorization, and the JSON
+matrix interchange format.
 
 Matrices are numpy ``complex128`` 2-D arrays throughout the package.
 All index lists crossing the API (kept indices, :func:`positions`) are
@@ -34,6 +34,7 @@ from .errors import (
     NumericalError,
     ParseError,
     RankDeficientError,
+    ShapeMismatchError,
 )
 
 # Shared tolerances (absolute on unit-scaled data unless noted).
@@ -96,7 +97,7 @@ def qr(a):
     if cols > rows:
         raise RankDeficientError("more columns (%d) than rows (%d)" % (cols, rows))
     q, r = np.linalg.qr(m, mode="reduced")
-    q, r = _positive_diagonal(q, r, np.linalg.norm(m) + 1.0e-300)
+    q, r = _positive_diagonal(q, r, np.linalg.norm(m))
     return QrFactors(q=q, r=r)
 
 
@@ -126,7 +127,7 @@ def block_qr(a, n):
             "nonzero entries below the %d x %d diagonal blocks" % (n, n))
     idx = np.arange(g)
     q, r_diag = np.linalg.qr(m.reshape(g, n, g, n)[idx, :, idx, :])
-    q, r_diag = _positive_diagonal(q, r_diag, np.linalg.norm(m) + 1.0e-300)
+    q, r_diag = _positive_diagonal(q, r_diag, np.linalg.norm(m))
     r = np.matmul(q.conj().transpose(0, 2, 1), m.reshape(g, n, size)).reshape(size, size)
     r[below] = 0.0
     r.reshape(g, n, g, n)[idx, :, idx, :] = r_diag
@@ -144,32 +145,13 @@ def svd(a):
 
 
 def adjugate(a):
-    """Adjugate (transpose of the cofactor matrix).
-
-    Polynomial in the entries, so it is well defined for singular input.
-    Closed forms for n <= 2; cofactor expansion above that (intended for
-    the small matrices this package works with).
-    """
+    """Adjugate of a 2x2 matrix, [[d, -b], [-c, a]]: polynomial in the
+    entries, so it is well defined for singular input.  Any other shape
+    raises ShapeMismatchError."""
+    if np.shape(a) != (2, 2):
+        raise ShapeMismatchError("adjugate needs a 2x2 matrix, got shape %s" % (np.shape(a),))
     m = as_cmatrix(a)
-    n, cols = m.shape
-    if n != cols:
-        raise NotSquareError("adjugate needs a square matrix")
-    if n == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    if n == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    adj = np.empty((n, n), dtype=np.complex128)
-    rows_mask = np.ones(n, dtype=bool)
-    cols_mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        rows_mask[i] = False
-        for j in range(n):
-            cols_mask[j] = False
-            minor = m[np.ix_(rows_mask, cols_mask)]
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-            cols_mask[j] = True
-        rows_mask[i] = True
-    return adj
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
 def time_extend(a, n_ext):

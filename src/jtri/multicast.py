@@ -49,10 +49,6 @@ class MulticastProblem:
         if np.trace(self.cov).real > self.power + matcore.TOL_ZERO:
             raise ShapeMismatchError("trace of covariance exceeds the power budget")
 
-    @property
-    def n_t(self):
-        return self.cov.shape[0]
-
 
 @dataclass
 class SchemeRates:
@@ -104,7 +100,7 @@ def cov_sqrt(cov):
     singular)."""
     c = _check_psd(cov)
     n = c.shape[0]
-    scale = np.max(np.abs(c)) + 1e-300
+    scale = np.max(np.abs(c))
     b = np.zeros((n, n), dtype=np.complex128)
     work = c.copy()
     for j in range(n):

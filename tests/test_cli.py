@@ -193,6 +193,21 @@ def test_decompose_requires_exactly_one_source(capsys):
     assert code == cli.EXIT_PARSE
 
 
+def test_input_file_reads_like_inline(tmp_path, capsys):
+    # a payload file, an unreadable path, and a bare list of matrix objects
+    mats = [mat_json(np.array([[2, 1], [1, 1]])), mat_json(np.array([[1, 1j], [0, 1]]))]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"matrices": mats}), encoding="utf-8")
+    args = ["decompose", "--kind", "jet"]
+    code, expect, _ = run_cli(capsys, args, {"matrices": mats})
+    assert code == 0
+    assert run_cli(capsys, args + ["--input", str(path)])[:2] == (0, expect)
+    assert run_cli(capsys, args, mats)[:2] == (0, expect)
+    code, out, err = run_cli(capsys, args + ["--input", str(tmp_path / "missing.json")])
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "cannot read" in err
+
+
 def test_decompose_numerical_exit(capsys):
     code, _out, err = run_cli(capsys, ["decompose", "--kind", "gmd"],
                               mat_json(np.zeros((2, 2))))

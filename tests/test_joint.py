@@ -250,10 +250,17 @@ def test_exists_2gmd_general_r():
     rng = np.random.default_rng(6)
     a1 = rand_unit_det(rng, 2)
     a2 = rand_unit_det(rng, 2)
-    # r above the largest singular value fails the determinant conditions
+    # r above the largest singular value makes F1 of the shifted forms negative
     r_big = float(max(matcore.svd(a1).sigma[0], matcore.svd(a2).sigma[0])) * 1.5
     assert not joint.exists_2gmd(a1, a2, r=r_big)
     assert joint.exists_2gmd(np.eye(2), np.eye(2), r=1.0)
+    # S = diag(4 - r^2, 0.25 - r^2) for both matrices, so F1 = 0 at every r
+    # and only the indefiniteness of S decides: r must lie in [0.5, 2]
+    a = np.diag([2.0, 0.5])
+    for r, exists in ((1.5, True), (2.0, True), (3.0, False), (0.4, False)):
+        s = a @ a - r * r * np.eye(2)
+        assert joint.f1(s, s) == 0.0
+        assert joint.exists_2gmd(a, a, r=r) == exists
 
 
 def test_exists_2gmd_oracle_agreement_small():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtri import matcore
+from jtri import gtd, matcore, multicast
 from jtri.errors import (
     DuplicateIndexError,
     IndexOutOfRangeError,
@@ -18,6 +18,8 @@ from jtri.errors import (
     OverlappingGroupsError,
     ParseError,
     RankDeficientError,
+    ShapeMismatchError,
+    SingularMatrixError,
 )
 from util import (
     embed,
@@ -70,6 +72,30 @@ def test_qr_rank_deficient():
         matcore.qr(a)
 
 
+def test_all_zero_and_tiny_inputs():
+    # the rank, singularity and pivot thresholds scale with the input: an
+    # all-zero input meets them (0 <= 0), a tiny nonzero one does not
+    zero = np.zeros((2, 2))
+    with pytest.raises(RankDeficientError):
+        matcore.qr(zero)
+    with pytest.raises(RankDeficientError):
+        matcore.block_qr(zero, 1)
+    with pytest.raises(SingularMatrixError):
+        gtd.gmd(zero)
+    assert np.array_equal(multicast.cov_sqrt(zero), zero)
+    rng = np.random.default_rng(22)
+    a = rand_complex(rng, 3)
+    c = a @ a.conj().T
+    for scale in (1e-280, 1e-300, 1e-305):
+        fac = matcore.qr(scale * a)
+        q, r = matcore.block_qr(scale * a, 3)
+        g = gtd.gmd(scale * a)
+        b = multicast.cov_sqrt(scale * c)
+        for rec, m in ((fac.q @ (fac.r / scale), a), (q[0] @ (r / scale), a),
+                       (g.u @ (g.r / scale) @ g.v.conj().T, a), (b @ (b.conj().T / scale), c)):
+            assert np.max(np.abs(rec - m)) <= 1e-13 * np.max(np.abs(m))
+
+
 def test_svd_diagonal_and_unitary():
     fac = matcore.svd(np.diag([3.0, 1.0]))
     assert np.allclose(fac.sigma, [3.0, 1.0])
@@ -96,20 +122,22 @@ def test_svd_versus_characteristic_roots():
 def test_adjugate_closed_forms():
     a = np.array([[1.0 + 2j, 3.0], [4.0, 5.0 - 1j]])
     adj = matcore.adjugate(a)
-    assert np.allclose(adj, [[5.0 - 1j, -3.0], [-4.0, 1.0 + 2j]])
-    assert np.allclose(matcore.adjugate(np.eye(3)), np.eye(3))
-    with pytest.raises(NotSquareError):
-        matcore.adjugate(np.ones((2, 3)))
+    assert np.array_equal(adj, [[5.0 - 1j, -3.0], [-4.0, 1.0 + 2j]])
+    assert np.array_equal(matcore.adjugate(np.eye(2)), np.eye(2))
+    for shape in ((2, 3), (3, 3), (1, 1), (2,)):
+        with pytest.raises(ShapeMismatchError):
+            matcore.adjugate(np.ones(shape))
 
 
 def test_adjugate_matches_det_times_inverse():
     rng = np.random.default_rng(5)
-    a = rand_complex(rng, 3)
+    a = rand_complex(rng, 2)
     adj = matcore.adjugate(a)
     expect = np.linalg.det(a) * np.linalg.inv(a)
     assert np.max(np.abs(adj - expect)) < 1e-10 * np.max(np.abs(expect))
     # defining identity, valid regardless of invertibility
-    assert np.max(np.abs(a @ adj - np.linalg.det(a) * np.eye(3))) < 1e-10
+    for m in (a, np.outer(a[:, 0], a[1])):
+        assert np.max(np.abs(m @ matcore.adjugate(m) - np.linalg.det(m) * np.eye(2))) < 1e-10
 
 
 def test_time_extend():
