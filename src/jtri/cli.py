@@ -283,7 +283,10 @@ def _cmd_examples(args):
         else:
             out["note"] = "exact construction impossible above the critical rate"
     elif name == "permuted":
-        gains = [float(x) for x in args.gains.split(",")] if args.gains else [1.0, 2.0]
+        try:
+            gains = [float(x) for x in args.gains.split(",")] if args.gains else [1.0, 2.0]
+        except ValueError as exc:
+            raise ParseError("--gains needs comma-separated numbers") from exc
         channels = multicast.permuted_channels(gains)
         cov = np.eye(len(gains), dtype=complex)
         prob = multicast.MulticastProblem(users=channels, cov=cov,
@@ -294,7 +297,7 @@ def _cmd_examples(args):
             "precoder": multicast.dft_precoder(len(gains)),
             "multicast_rate": multicast.multicast_rate(prob),
         }
-    elif name in ("dof2", "dof3"):
+    else:
         variant = "two_user" if name == "dof2" else "three_user"
         ex = multicast.dof_mismatch_example(args.rate, variant)
         out = {
@@ -308,19 +311,20 @@ def _cmd_examples(args):
         }
         if ex.t_matrices is not None:
             out["t_matrices"] = ex.t_matrices
-    else:
-        raise ParseError("unknown example %r" % name)
     _emit(args, out)
     return EXIT_OK
 
 
 def _cmd_simulate(args):
     payload = _load_payload(args)
-    if not isinstance(payload, dict) or "users" not in payload:
-        raise ParseError("simulate expects {\"users\": [...], \"cov\": ..., \"power\": ...}")
-    users = [matcore.matrix_from_json(h) for h in payload["users"]]
+    payload = payload if isinstance(payload, dict) else {}
+    users, power = payload.get("users"), payload.get("power", 1.0)
+    if not isinstance(users, list) or not users or type(power) not in (int, float):
+        raise ParseError("simulate expects {\"users\": [matrix, ...], \"cov\": matrix, "
+                         "\"power\": number}")
+    users = [matcore.matrix_from_json(h) for h in users]
     cov = matcore.matrix_from_json(payload["cov"]) if "cov" in payload else None
-    power = float(payload.get("power", 1.0))
+    power = float(power)
     if cov is None:
         n_t = users[0].shape[1]
         cov = np.eye(n_t, dtype=complex) * (power / n_t)
@@ -340,10 +344,8 @@ def _cmd_simulate(args):
         fac = gtd_mod.gmd(gs[0])
         factors = joint_mod.JointFactors(v=fac.v, users=[(fac.u, fac.r)],
                                          diag=fac.diag)
-    elif source == "jet":
-        factors = joint_mod.kgmd_to_kjet(gs)
     else:
-        raise ParseError("unknown factor source %r" % source)
+        factors = joint_mod.kgmd_to_kjet(gs)
     reports = multicast.simulate_sic(problem, factors, trials=args.trials,
                                      seed=args.seed)
     rates = multicast.scheme_rates(np.maximum(factors.diag, 1.0))

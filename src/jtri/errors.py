@@ -123,10 +123,6 @@ class DuplicateIndexError(DimensionError):
     pass
 
 
-class OverlappingGroupsError(DimensionError):
-    pass
-
-
 class NonPositiveEntryError(DimensionError):
     pass
 

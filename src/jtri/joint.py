@@ -135,11 +135,9 @@ def f1(s1, s2):
 
 
 def f2(s1, s2):
-    """det(S1 S2 - adj(S2) adj(S1)); decides the upper/lower variant."""
-    h1 = _hermitian_2x2_or_raise(s1)
-    h2 = _hermitian_2x2_or_raise(s2)
-    m = h1 @ h2 - matcore.adjugate(h2) @ matcore.adjugate(h1)
-    return float(_det2(m).real)
+    """det(S1 S2 - adj(S2) adj(S1)); decides the upper/lower variant.  As
+    adj adj S = S for 2x2 matrices, it is F1(S1, adj S2)."""
+    return f1(s1, matcore.adjugate(s2))
 
 
 # --- the common null vector ---------------------------------------------------
@@ -293,37 +291,29 @@ def kgmd_exact(matrices):
         "no exact construction known for %d matrices of size %d" % (len(mats), n))
 
 
-def kgmd_to_kjet(matrices, inner=None):
-    """Equi-diagonal triangularization of K+1 matrices via unit-diagonal
-    triangularization of the K quotients against the last matrix.
-
-    ``inner`` supplies the joint unit-diagonal step (default kgmd_exact;
-    spacetime.nearly_kjet passes nearly_kgmd at a fixed n_ext);
-    NotConstructibleError from it propagates.  The last matrix's inverse
-    is time-extended to the inner result's n_ext, which carries over to
-    the result along with its kept_indices.
+def kgmd_to_kjet(matrices):
+    """Equi-diagonal triangularization of K+1 matrices via exact
+    unit-diagonal triangularization (kgmd_exact) of the K quotients
+    against the last matrix; NotConstructibleError from it propagates.
     """
     mats, n = _check_square_set(matrices)
     if len(mats) < 2:
         raise ShapeMismatchError("need at least two matrices")
     _check_absdet(mats)
-    if inner is None:
-        inner = kgmd_exact
     last = mats[-1]
     try:
         last_inv = np.linalg.inv(last)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("last matrix is singular") from exc
     quotients = [m @ last_inv for m in mats[:-1]]
-    core = inner(quotients)
+    core = kgmd_exact(quotients)
     u_last = core.v
-    fac = matcore.qr(matcore.time_extend(last_inv, core.n_ext) @ u_last)
+    fac = matcore.qr(last_inv @ u_last)
     r_hat_inv = np.linalg.inv(fac.r)
     users = [(u_k, t_k @ r_hat_inv) for (u_k, t_k) in core.users]
     users.append((u_last, r_hat_inv))
     diag = 1.0 / np.real(np.diag(fac.r))
-    return JointFactors(v=fac.q, users=users, diag=diag, n_ext=core.n_ext,
-                        kept_indices=core.kept_indices)
+    return JointFactors(v=fac.q, users=users, diag=diag)
 
 
 def jet2(a1, a2):

@@ -25,9 +25,13 @@ n x n blocks, so its Q is block diagonal (matcore.block_qr): one n x n QR
 per diagonal block.  A round therefore costs O(n * (nN)^2) per user, and
 the kept factors themselves are dense (nN)^2 arrays.
 
-Both constructions return joint.JointFactors with ``n_ext`` set and
-``kept_indices`` naming the retained coordinates; nearly_kjet is
-joint.kgmd_to_kjet with nearly_kgmd as its inner step.
+nearly_kjet, for K matrices of equal |det|, runs the same rounds with
+joint.jet2 as the local step: K - 1 rounds, round l equalizing the active
+blocks of users l and l + 1.  Users already equalized hold identical
+blocks at the touched positions, so they stay in lockstep, and one round
+fewer loses n^(K-2) - 1 channel uses instead of n^(K-1) - 1.  Both return
+joint.JointFactors with ``n_ext`` set and ``kept_indices`` naming the
+retained coordinates.
 """
 
 import math
@@ -48,7 +52,7 @@ from .joint import (
     _check_square_set,
     _check_absdet,
     exists_2gmd,
-    kgmd_to_kjet,
+    jet2,
 )
 
 
@@ -107,6 +111,49 @@ def _retriangularize(t_mats, u_mats, v_total, w):
     return _times_blockdiag(v_total, w)
 
 
+def _rounds(matrices, n_ext, mode):
+    """The rounds of both constructions: round l's local step is gmd of
+    user l's active n x n block (mode "gmd", K rounds) or jet2 of those of
+    users l and l + 1 (mode "jet", K - 1 rounds)."""
+    mats, n = _check_square_set(matrices)
+    k_users = len(mats)
+    min_ext = discarded_uses(n, k_users, mode) + 1
+    _check_absdet(mats, unit=mode == "gmd")
+    n_ext = int(n_ext)
+    if n_ext < min_ext:
+        raise TooFewExtensionsError(
+            "need at least %d extensions for %d users of size %d, got %d"
+            % (min_ext, k_users, n, n_ext))
+    rounds = k_users if mode == "gmd" else k_users - 1
+
+    def local_v(blocks, k):     # k = l - 1 is the first active user of round l
+        return (gmd(blocks[k]) if mode == "gmd" else jet2(blocks[k], blocks[k + 1])).v
+
+    # round 1 on the matrices themselves, whose extensions are block
+    # diagonal: one n x n QR per user aligns everyone
+    w = local_v(mats, 0)
+    facs = [matcore.qr(m @ w) for m in mats]
+    v_total = matcore.time_extend(w, n_ext)
+    u_mats = [matcore.time_extend(f.q, n_ext) for f in facs]
+    t_mats = [matcore.time_extend(f.r, n_ext) for f in facs]
+    coords = list(range(1, n * n_ext + 1))
+
+    for round_l in range(2, rounds + 1):
+        groups = _reorder_indices(n, rounds, n_ext, round_l)
+        flat = [i for g in groups for i in g]
+        pos = matcore.positions(t_mats[0].shape[0], flat)
+        coords = [coords[i - 1] for i in flat]
+        v_total = v_total[:, pos]
+        for k in range(k_users):
+            u_mats[k] = u_mats[k][:, pos]
+            t_mats[k] = t_mats[k][np.ix_(pos, pos)]
+        w = local_v([t[0:n, 0:n] for t in t_mats], round_l - 1)
+        v_total = _retriangularize(t_mats, u_mats, v_total, w)
+
+    return JointFactors(v=v_total, users=list(zip(u_mats, t_mats)),
+                        diag=np.real(np.diag(t_mats[0])), n_ext=n_ext, kept_indices=coords)
+
+
 def nearly_kgmd(matrices, n_ext):
     """Joint unit-diagonal triangularization of N-fold extended matrices.
 
@@ -115,51 +162,14 @@ def nearly_kgmd(matrices, n_ext):
     have n*n_ext rows and orthonormal columns; the triangular parts are
     n*(n_ext - (n^(K-1) - 1)) wide with all diagonal entries 1.
     """
-    mats, n = _check_square_set(matrices)
-    if not mats:
-        raise ShapeMismatchError("need at least one matrix")
-    k_users = len(mats)
-    _check_absdet(mats, unit=True)
-    min_ext = discarded_uses(n, k_users) + 1
-    n_ext = int(n_ext)
-    if n_ext < min_ext:
-        raise TooFewExtensionsError(
-            "need at least %d extensions for %d users of size %d, got %d"
-            % (min_ext, k_users, n, n_ext))
-
-    # round 1: per-block GMD of the first matrix, QR-align everyone; the
-    # extensions are block diagonal, so this is one n x n QR per user
-    local = gmd(mats[0])
-    facs = [matcore.qr(m @ local.v) for m in mats]
-    v_total = matcore.time_extend(local.v, n_ext)
-    u_mats = [matcore.time_extend(f.q, n_ext) for f in facs]
-    t_mats = [matcore.time_extend(f.r, n_ext) for f in facs]
-    coords = list(range(1, n * n_ext + 1))
-
-    for round_l in range(2, k_users + 1):
-        groups = _reorder_indices(n, k_users, n_ext, round_l)
-        flat = [i for g in groups for i in g]
-        pos = matcore.positions(t_mats[0].shape[0], flat)
-        coords = [coords[i - 1] for i in flat]
-        v_total = v_total[:, pos]
-        for k in range(k_users):
-            u_mats[k] = u_mats[k][:, pos]
-            t_mats[k] = t_mats[k][np.ix_(pos, pos)]
-        active = t_mats[round_l - 1]
-        local = gmd(active[0:n, 0:n])
-        v_total = _retriangularize(t_mats, u_mats, v_total, local.v)
-
-    diag = np.real(np.diag(t_mats[0]))
-    users = list(zip(u_mats, t_mats))
-    return JointFactors(v=v_total, users=users, diag=diag, n_ext=n_ext,
-                        kept_indices=coords)
+    return _rounds(matrices, n_ext, "gmd")
 
 
 def nearly_kjet(matrices, n_ext):
-    """Equi-diagonal variant for K+1 matrices with equal |det|: the
-    quotient reduction of joint.kgmd_to_kjet with nearly_kgmd of the K
-    quotients as its inner step."""
-    return kgmd_to_kjet(matrices, inner=lambda quotients: nearly_kgmd(quotients, n_ext))
+    """Equal-diagonal variant for K >= 2 matrices with equal |det| and
+    n_ext >= n^(K-2): the triangular parts are n*(n_ext - (n^(K-2) - 1))
+    wide and share one diagonal, whose product is |det|^(kept uses)."""
+    return _rounds(matrices, n_ext, "jet")
 
 
 def extension_futile_2x2(a1, a2):

@@ -180,6 +180,44 @@ def test_decompose_malformed_parameters_are_parse_errors(kind, fields, capsys):
     assert out == "" and "parse error" in err
 
 
+_H = mat_json(np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("power", ["abc", None, "2", True])
+def test_simulate_power_must_be_a_number(power, capsys):
+    code, out, err = run_cli(capsys, ["simulate", "--trials", "100"],
+                             {"users": [_H], "power": power})
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
+def test_simulate_users_must_be_a_nonempty_list(capsys):
+    code, out, err = run_cli(capsys, ["simulate", "--trials", "100"], {"users": []})
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize("gains", ["1,,2", "abc"])
+def test_examples_gains_must_be_numbers(gains, capsys):
+    code, out, err = run_cli(capsys, ["examples", "--name", "permuted", "--gains", gains])
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize("args, inline", [
+    (["decompose", "--kind", "gmd"], {"matrices": [_H, _H]}),
+    (["decompose", "--kind", "upper-lower"], {"matrices": [_H, _H, _H]}),
+    (["simulate", "--trials", "100"], [_H]),
+    (["simulate", "--trials", "100"], {"power": 2.0}),
+    (["simulate", "--factors", "svd", "--trials", "100"], {"users": [_H, _H]}),
+    (["simulate", "--factors", "gmd", "--trials", "100"], {"users": [_H, _H]}),
+])
+def test_wrong_matrix_counts_are_parse_errors(args, inline, capsys):
+    code, out, err = run_cli(capsys, args, inline)
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
 def test_runtime_imports_no_scipy():
     src = os.path.dirname(os.path.dirname(jtri.__file__))
     code = "import sys, jtri, jtri.cli; sys.exit(int('scipy' in sys.modules))"

@@ -15,7 +15,6 @@ from jtri.errors import (
     NotFiniteError,
     NotSquareError,
     NumericalError,
-    OverlappingGroupsError,
     ParseError,
     RankDeficientError,
     ShapeMismatchError,
@@ -196,7 +195,7 @@ def test_embed_identity_and_unitarity():
 
 
 def test_embed_errors():
-    with pytest.raises(OverlappingGroupsError):
+    with pytest.raises(DuplicateIndexError):
         embed(4, np.eye(2), [(1, 2), (2, 3)])
     with pytest.raises(IndexOutOfRangeError):
         embed(4, np.eye(2), [(1, 5)])

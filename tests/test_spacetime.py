@@ -12,7 +12,6 @@ from jtri.errors import (
 import test_golden as golden
 from util import (
     extended_gmd_residual,
-    extraction_matrix,
     nearly_kgmd_dense,
     rand_real_det_one,
     rand_unit_det,
@@ -89,6 +88,8 @@ def test_nearly_kgmd_requires_enough_extensions():
     mats = [rand_unit_det(rng, 2) for _ in range(3)]
     with pytest.raises(TooFewExtensionsError):
         spacetime.nearly_kgmd(mats, 3)
+    with pytest.raises(TooFewExtensionsError):
+        spacetime.nearly_kjet(mats, 1)
     with pytest.raises(BadDeterminantError):
         spacetime.nearly_kgmd([2.0 * rand_unit_det(rng, 2)], 1)
 
@@ -154,60 +155,6 @@ def test_nearly_kjet_random_triple():
     fac = spacetime.nearly_kjet(mats, 3)
     assert fac.kept_dim == 2 * (3 - 1)
     assert_spacetime_invariants(fac, mats, unit_diag=False)
-
-
-def in_place_equal_diag_variant(mats, n_ext):
-    """Cross-check construction: run the extension recursion with a local
-    two-matrix equi-diagonal step instead of the quotient reduction.  At
-    each round the already-equalized users hold identical blocks at the
-    active positions, so the shared right factor plus QR keeps them in
-    lockstep."""
-    n = mats[0].shape[0]
-    k_users = len(mats)
-    k_rounds = k_users - 1
-    t_mats = [matcore.time_extend(m, n_ext) for m in mats]
-    u_mats = [np.eye(n * n_ext, dtype=complex) for _ in mats]
-    v_total = np.eye(n * n_ext, dtype=complex)
-
-    def apply_right(local_v, copies):
-        nonlocal v_total
-        v_emb = matcore.time_extend(local_v, copies)
-        v_total = v_total @ v_emb
-        for k in range(k_users):
-            fac = matcore.qr(t_mats[k] @ v_emb)
-            u_mats[k] = u_mats[k] @ fac.q
-            t_mats[k] = fac.r
-
-    core = joint.jet2(mats[0], mats[1])
-    apply_right(core.v, n_ext)
-    for round_l in range(2, k_rounds + 1):
-        groups = spacetime._reorder_indices(n, k_rounds, n_ext, round_l)
-        flat = [i for g in groups for i in g]
-        picker = extraction_matrix(t_mats[0].shape[0], flat)
-        v_total = v_total @ picker
-        for k in range(k_users):
-            u_mats[k] = u_mats[k] @ picker
-            t_mats[k] = picker.conj().T @ t_mats[k] @ picker
-        pair = joint.jet2(t_mats[round_l - 1][:n, :n], t_mats[round_l][:n, :n])
-        apply_right(pair.v, len(groups))
-    return v_total, u_mats, t_mats
-
-
-def test_in_place_equal_diag_variant_agrees():
-    rng = np.random.default_rng(8)
-    mats = [rand_unit_det(rng, 2) for _ in range(3)]
-    n_ext = 3
-    v_total, u_mats, t_mats = in_place_equal_diag_variant(mats, n_ext)
-    kept = v_total.shape[1]
-    ref = spacetime.nearly_kjet(mats, n_ext)
-    assert kept == ref.kept_dim
-    diags = [np.real(np.diag(t)) for t in t_mats]
-    for d in diags[1:]:
-        assert np.max(np.abs(d - diags[0])) <= 1e-8
-    for u, t, a in zip(u_mats, t_mats, mats):
-        ext = matcore.time_extend(a, n_ext)
-        assert np.linalg.norm(u.conj().T @ ext @ v_total - t) <= 1e-8 * np.linalg.norm(ext)
-        assert np.max(np.abs(np.tril(t, -1))) <= 1e-8
 
 
 def test_extension_futile_matches_base_existence():
@@ -362,12 +309,31 @@ def test_nearly_kgmd_matches_dense_oracle(n, k_users, n_ext):
     assert_same_factors(spacetime.nearly_kgmd(mats, n_ext), nearly_kgmd_dense(mats, n_ext))
 
 
-@pytest.mark.parametrize("n, k_users, n_ext", [(2, 3, 2), (2, 4, 16), (3, 3, 9), (2, 3, 64)])
+def assert_kjet_matches_dense_oracle(mats, n_ext):
+    fac = spacetime.nearly_kjet(mats, n_ext)
+    assert_same_factors(fac, nearly_kgmd_dense(mats, n_ext, mode="jet"))
+    assert_spacetime_invariants(fac, mats, unit_diag=False)
+    return fac
+
+
+@pytest.mark.parametrize("n, k_users, n_ext",
+                         [(2, 3, 2), (2, 3, 64), (2, 4, 16), (3, 3, 9), (2, 5, 8), (4, 3, 4)])
 def test_nearly_kjet_matches_dense_oracle(n, k_users, n_ext):
     rng = np.random.default_rng([n, k_users, n_ext, 1])
-    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
-    ref = joint.kgmd_to_kjet(mats, inner=lambda q: nearly_kgmd_dense(q, n_ext))
-    assert_same_factors(spacetime.nearly_kjet(mats, n_ext), ref)
+    assert_kjet_matches_dense_oracle([rand_unit_det(rng, n) for _ in range(k_users)], n_ext)
+
+
+@pytest.mark.parametrize("n, k_users, n_ext", [(2, 3, 4), (2, 4, 8), (3, 3, 9), (2, 5, 16)])
+def test_nearly_kjet_keeps_the_determinant_rate(n, k_users, n_ext):
+    # equal but not unit |det|: the kept diagonal carries |det A_k| once per
+    # kept channel use, so the design rate is the promised (N - lost) / N
+    rng = np.random.default_rng([n, k_users, n_ext, 2])
+    log_det = rng.uniform(0.5, 3.0)
+    mats = [rand_unit_det(rng, n) * np.exp(log_det / n) for _ in range(k_users)]
+    fac = assert_kjet_matches_dense_oracle(mats, n_ext)
+    for _, t in fac.users:
+        kept_log = np.sum(np.log(np.real(np.diag(t))))
+        assert abs(kept_log - fac.kept_dim / n * log_det) <= 1e-10
 
 
 def test_golden_spacetime_inputs_match_dense_oracle():
@@ -375,25 +341,29 @@ def test_golden_spacetime_inputs_match_dense_oracle():
     # pinned to the dense construction and not only to themselves
     mats = [np.array(m, dtype=complex) for m in (golden.A, golden.D, golden.C)]
     assert_same_factors(spacetime.nearly_kgmd(mats, 4), nearly_kgmd_dense(mats, 4))
-    ref = joint.kgmd_to_kjet(mats, inner=lambda q: nearly_kgmd_dense(q, 2))
-    assert_same_factors(spacetime.nearly_kjet(mats, 2), ref)
+    assert_same_factors(spacetime.nearly_kjet(mats, 2), nearly_kgmd_dense(mats, 2, mode="jet"))
 
 
 def test_nearly_kgmd_never_runs_a_wide_qr(monkeypatch):
-    # a QR wider than one n x n block would bring back the O((nN)^3) cost
+    # a QR or inverse wider than one n x n block would bring back the
+    # O((nN)^3) cost, in either construction
     rng = np.random.default_rng(13)
     mats = [rand_unit_det(rng, 2) for _ in range(3)]
     shapes = []
-    dense_qr = np.linalg.qr
 
-    def recording_qr(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return dense_qr(a, *args, **kwargs)
+    def recording(dense):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return dense(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    spacetime.nearly_kgmd(mats, 64)
-    assert shapes
-    assert max(s[-1] for s in shapes) <= 2
+    monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv))
+    for construct in (spacetime.nearly_kgmd, spacetime.nearly_kjet):
+        shapes.clear()
+        construct(mats, 64)
+        assert shapes
+        assert max(s[-1] for s in shapes) <= 2
 
 
 def test_nearly_kgmd_reorder_rejects_duplicate_index(monkeypatch):

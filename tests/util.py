@@ -12,12 +12,12 @@ dense grid with multistart local refinement.
 import numpy as np
 from scipy.optimize import minimize
 
-from jtri import matcore, multicast, spacetime
+from jtri import joint, matcore, multicast, spacetime
 from jtri.errors import (
+    DuplicateIndexError,
     IndexOutOfRangeError,
     LengthMismatchError,
     NotSquareError,
-    OverlappingGroupsError,
 )
 from jtri.gtd import GtdFactors, gmd
 from jtri.joint import JointFactors
@@ -221,7 +221,7 @@ def embed(n, b, index_groups):
             if not 1 <= i <= n:
                 raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
             if i in used:
-                raise OverlappingGroupsError("index %r appears in two groups" % (i,))
+                raise DuplicateIndexError("index %r appears in two groups" % (i,))
             used.add(i)
         pos = [i - 1 for i in g]
         out[np.ix_(pos, pos)] = block
@@ -347,26 +347,33 @@ def _retriangularize_dense(t_mats, u_mats, v_total, v_emb):
     return v_total
 
 
-def nearly_kgmd_dense(matrices, n_ext):
-    """spacetime.nearly_kgmd as a dense construction on (nN)-square arrays:
-    extraction-matrix pickers, time_extend products and full QRs, O((nN)^3).
-    Kept as the reference the structured construction is compared with;
-    the inputs are taken as valid (unit |det|, n_ext >= n^(K-1))."""
+def nearly_kgmd_dense(matrices, n_ext, mode="gmd"):
+    """spacetime.nearly_kgmd (mode "gmd") or spacetime.nearly_kjet (mode
+    "jet") as a dense construction on (nN)-square arrays: extraction-matrix
+    pickers, time_extend products and full QRs, O((nN)^3).  Kept as the
+    reference the structured construction is compared with; the inputs
+    are taken as valid (unit or equal |det|, n_ext large enough)."""
     mats = [matcore.as_cmatrix(m) for m in matrices]
     n = mats[0].shape[0]
     k_users = len(mats)
+    rounds = k_users if mode == "gmd" else k_users - 1
 
-    # round 1: per-block GMD of the first matrix, QR-align everyone
-    local = gmd(mats[0])
-    v_emb = matcore.time_extend(local.v, n_ext)
+    def local_v(blocks, round_l):
+        # gmd of user l's active block, or jet2 of users l and l + 1
+        if mode == "gmd":
+            return gmd(blocks[round_l - 1]).v
+        return joint.jet2(blocks[round_l - 1], blocks[round_l]).v
+
+    # round 1: per-block local step on the matrices, QR-align everyone
+    v_emb = matcore.time_extend(local_v(mats, 1), n_ext)
     v_total = np.eye(n * n_ext, dtype=np.complex128)
     t_mats = [matcore.time_extend(m, n_ext) for m in mats]
     u_mats = [np.eye(n * n_ext, dtype=np.complex128) for _ in mats]
     v_total = _retriangularize_dense(t_mats, u_mats, v_total, v_emb)
     coords = list(range(1, n * n_ext + 1))
 
-    for round_l in range(2, k_users + 1):
-        groups = spacetime._reorder_indices(n, k_users, n_ext, round_l)
+    for round_l in range(2, rounds + 1):
+        groups = spacetime._reorder_indices(n, rounds, n_ext, round_l)
         flat = [i for g in groups for i in g]
         picker = extraction_matrix(t_mats[0].shape[0], flat)
         coords = [coords[i - 1] for i in flat]
@@ -374,9 +381,8 @@ def nearly_kgmd_dense(matrices, n_ext):
         for k in range(k_users):
             u_mats[k] = u_mats[k] @ picker
             t_mats[k] = picker.conj().T @ t_mats[k] @ picker
-        active = t_mats[round_l - 1]
-        local = gmd(active[0:n, 0:n])
-        v_emb = matcore.time_extend(local.v, len(groups))
+        local = local_v([t[0:n, 0:n] for t in t_mats], round_l)
+        v_emb = matcore.time_extend(local, len(groups))
         v_total = _retriangularize_dense(t_mats, u_mats, v_total, v_emb)
 
     diag = np.real(np.diag(t_mats[0]))
