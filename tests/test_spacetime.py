@@ -12,6 +12,7 @@ from jtri.errors import (
 import test_golden as golden
 from util import (
     extended_gmd_residual,
+    extraction_matrix,
     nearly_kgmd_dense,
     rand_real_det_one,
     rand_unit_det,
@@ -155,6 +156,60 @@ def test_nearly_kjet_random_triple():
     fac = spacetime.nearly_kjet(mats, 3)
     assert fac.kept_dim == 2 * (3 - 1)
     assert_spacetime_invariants(fac, mats, unit_diag=False)
+
+
+def in_place_equal_diag_variant(mats, n_ext):
+    """Cross-check construction: run the extension recursion with a local
+    two-matrix equi-diagonal step on the full (nN)-wide extended matrices,
+    applying every right factor and QR densely.  At each round the
+    already-equalized users hold identical blocks at the active positions,
+    so the shared right factor plus QR keeps them in lockstep."""
+    n = mats[0].shape[0]
+    k_users = len(mats)
+    k_rounds = k_users - 1
+    t_mats = [matcore.time_extend(m, n_ext) for m in mats]
+    u_mats = [np.eye(n * n_ext, dtype=complex) for _ in mats]
+    v_total = np.eye(n * n_ext, dtype=complex)
+
+    def apply_right(local_v, copies):
+        nonlocal v_total
+        v_emb = matcore.time_extend(local_v, copies)
+        v_total = v_total @ v_emb
+        for k in range(k_users):
+            fac = matcore.qr(t_mats[k] @ v_emb)
+            u_mats[k] = u_mats[k] @ fac.q
+            t_mats[k] = fac.r
+
+    core = joint.jet2(mats[0], mats[1])
+    apply_right(core.v, n_ext)
+    for round_l in range(2, k_rounds + 1):
+        groups = spacetime._reorder_indices(n, k_rounds, n_ext, round_l)
+        flat = [i for g in groups for i in g]
+        picker = extraction_matrix(t_mats[0].shape[0], flat)
+        v_total = v_total @ picker
+        for k in range(k_users):
+            u_mats[k] = u_mats[k] @ picker
+            t_mats[k] = picker.conj().T @ t_mats[k] @ picker
+        pair = joint.jet2(t_mats[round_l - 1][:n, :n], t_mats[round_l][:n, :n])
+        apply_right(pair.v, len(groups))
+    return v_total, u_mats, t_mats
+
+
+def test_in_place_equal_diag_variant_agrees():
+    rng = np.random.default_rng(8)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    n_ext = 3
+    v_total, u_mats, t_mats = in_place_equal_diag_variant(mats, n_ext)
+    kept = v_total.shape[1]
+    ref = spacetime.nearly_kjet(mats, n_ext)
+    assert kept == ref.kept_dim
+    diags = [np.real(np.diag(t)) for t in t_mats]
+    for d in diags[1:]:
+        assert np.max(np.abs(d - diags[0])) <= 1e-8
+    for u, t, a in zip(u_mats, t_mats, mats):
+        ext = matcore.time_extend(a, n_ext)
+        assert np.linalg.norm(u.conj().T @ ext @ v_total - t) <= 1e-8 * np.linalg.norm(ext)
+        assert np.max(np.abs(np.tril(t, -1))) <= 1e-8
 
 
 def test_extension_futile_matches_base_existence():
