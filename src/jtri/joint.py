@@ -272,6 +272,13 @@ def kgmd_exact(matrices):
     if not mats:
         raise ShapeMismatchError("need at least one matrix")
     _check_absdet(mats, unit=True)
+    return _kgmd_exact_core(mats, n)
+
+
+def _kgmd_exact_core(mats, n):
+    """kgmd_exact on nonempty square matrices of size n that are taken to
+    have unit |det|: kgmd_to_kjet's quotients have it by construction, up
+    to a roundoff drift that grows with the condition number."""
     scale = np.max(np.abs(mats[0]))
     if all(np.max(np.abs(m - mats[0])) <= matcore.TOL_ZERO * scale for m in mats[1:]):
         fac = gmd(mats[0])
@@ -295,6 +302,8 @@ def kgmd_to_kjet(matrices):
     """Equi-diagonal triangularization of K+1 matrices via exact
     unit-diagonal triangularization (kgmd_exact) of the K quotients
     against the last matrix; NotConstructibleError from it propagates.
+    The |det| condition is checked once, on the matrices: the quotients
+    are not checked again.
     """
     mats, n = _check_square_set(matrices)
     if len(mats) < 2:
@@ -305,8 +314,7 @@ def kgmd_to_kjet(matrices):
         last_inv = np.linalg.inv(last)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("last matrix is singular") from exc
-    quotients = [m @ last_inv for m in mats[:-1]]
-    core = kgmd_exact(quotients)
+    core = _kgmd_exact_core([m @ last_inv for m in mats[:-1]], n)
     u_last = core.v
     fac = matcore.qr(last_inv @ u_last)
     r_hat_inv = np.linalg.inv(fac.r)

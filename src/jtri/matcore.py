@@ -27,9 +27,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonPositiveEntryError,
-    NotBlockTriangularError,
     NotFiniteError,
-    NotSquareError,
     NoConvergenceError,
     NumericalError,
     ParseError,
@@ -101,36 +99,33 @@ def qr(a):
     return QrFactors(q=q, r=r)
 
 
-def block_qr(a, n):
-    """QR of a square matrix that is upper triangular in aligned n x n blocks.
+def block_qr(rows):
+    """QR of square matrices that are upper triangular in aligned n x n
+    blocks, held as block rows.
 
-    Such a matrix is blockdiag(Q_1, ..., Q_G) @ R: each Q_j is the QR
-    factor of the diagonal block a_jj alone, and block row j of R is
-    Q_j^H times block row j of ``a``.  Returns the (G, n, n) stack of the
-    Q_j and the dense R, under the same conventions as :func:`qr` (finite
-    input, rank threshold relative to the norm of all of ``a``, real
-    positive diagonal, exact zeros below it), for O(n * (nG)^2) work
-    instead of O((nG)^3).  A nonzero entry in the strict block-lower part
-    raises NotBlockTriangularError: it is never dropped.
+    ``rows`` is a (..., G, n, W) stack, W >= n: block row j of a matrix
+    holds its columns nj .. nj + W - 1, diagonal block first, with zeros
+    where those pass the last column (the part left of the diagonal block
+    is zero and not stored).  Such a matrix is blockdiag(Q_1, ..., Q_G) @ R:
+    each Q_j is the QR factor of the diagonal block alone, and block row j
+    of R is Q_j^H times block row j.  Returns the (..., G, n, n) stack of
+    the Q_j and R in the layout of ``rows``, under the conventions of
+    :func:`qr` (finite input, rank threshold relative to the Frobenius norm
+    of each matrix, real positive diagonal, exact zeros below it), for
+    O(n^2 W G) work.
     """
-    m = as_cmatrix(a)
-    size = m.shape[0]
-    if m.shape[1] != size:
-        raise NotSquareError("block_qr needs a square matrix")
-    if n < 1 or size % n:
-        raise LengthMismatchError("size %d is not a multiple of the block size %r" % (size, n))
-    g = size // n
-    block_of = np.arange(size) // n
-    below = block_of[:, np.newaxis] > block_of[np.newaxis, :]
-    if np.any(m[below]):
-        raise NotBlockTriangularError(
-            "nonzero entries below the %d x %d diagonal blocks" % (n, n))
-    idx = np.arange(g)
-    q, r_diag = np.linalg.qr(m.reshape(g, n, g, n)[idx, :, idx, :])
-    q, r_diag = _positive_diagonal(q, r_diag, np.linalg.norm(m))
-    r = np.matmul(q.conj().transpose(0, 2, 1), m.reshape(g, n, size)).reshape(size, size)
-    r[below] = 0.0
-    r.reshape(g, n, g, n)[idx, :, idx, :] = r_diag
+    m = np.asarray(rows, dtype=np.complex128)
+    if m.ndim < 3 or m.shape[-1] < m.shape[-2]:
+        raise LengthMismatchError("block rows of shape %s do not hold their diagonal blocks"
+                                  % (m.shape,))
+    if not np.all(np.isfinite(m)):
+        raise NotFiniteError("matrix contains non-finite entries")
+    n = m.shape[-2]
+    q, r_diag = np.linalg.qr(m[..., :n])
+    scale = np.linalg.norm(m.reshape(*m.shape[:-3], -1), axis=-1)
+    q, r_diag = _positive_diagonal(q, r_diag, scale[..., np.newaxis, np.newaxis])
+    r = np.matmul(q.conj().swapaxes(-1, -2), m)
+    r[..., :n] = r_diag
     return q, r
 
 

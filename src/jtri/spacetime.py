@@ -16,14 +16,15 @@ unitary returns the unitary itself).  The reordering drops a fixed number
 of edge coordinates per round, independent of N, which is why the
 efficiency (kept / total) approaches one as N grows.
 
-Every step keeps the structure it is given, so none needs a dense
-(nN)^3 kernel.  The shared right factor of a round is blockdiag(w, ..., w)
-for one n x n unitary w, so products with it are one n-column matmul per
-block.  The reordering is an index permutation of rows and columns.  And
+Every factor the rounds build is banded, with a bandwidth that depends on
+n and K but not on N, and the rounds work on that band alone.  The shared
+right factor of a round is blockdiag(w, ..., w) for one n x n unitary w,
+so products with it are one n-column matmul.  The reordering is one gather
+of the stored band, by index maps that do not depend on the values.  And
 each QR input, t_k @ blockdiag(w, ...), is upper triangular in aligned
 n x n blocks, so its Q is block diagonal (matcore.block_qr): one n x n QR
-per diagonal block.  A round therefore costs O(n * (nN)^2) per user, and
-the kept factors themselves are dense (nN)^2 arrays.
+per diagonal block.  A round therefore costs O(N) for all users at once;
+the dense factors that are returned are assembled once, at the end.
 
 nearly_kjet, for K matrices of equal |det|, runs the same rounds with
 joint.jet2 as the local step: K - 1 rounds, round l equalizing the active
@@ -42,6 +43,7 @@ import numpy as np
 from . import matcore
 from .errors import (
     FormMismatchError,
+    NotBlockTriangularError,
     ShapeMismatchError,
     TooFewExtensionsError,
     UnachievableFractionError,
@@ -73,48 +75,110 @@ def _reorder_indices(n, n_users, n_ext, round_l):
     ]
 
 
-def _times_blockdiag(x, blocks):
-    """x @ blockdiag(blocks) without forming it: ``blocks`` is one n x n
-    block repeated down the diagonal, or a (G, n, n) stack, one per block."""
-    rows, cols = x.shape
-    n = blocks.shape[-1]
-    if blocks.ndim == 2:
-        return (x.reshape(-1, n) @ blocks).reshape(rows, cols)
-    stacked = x.reshape(rows, cols // n, n).transpose(1, 0, 2)
-    return np.matmul(stacked, blocks).transpose(1, 0, 2).reshape(rows, cols)
+# The rounds keep every factor in banded storage, sized from the index maps
+# of the reorderings alone; slots that pass the edge of a matrix hold zeros.
+# v and the u_k are column blocks: a (..., G, H, n) stack whose block j holds
+# rows offsets[j] .. offsets[j] + H - 1 of columns nj .. nj + n - 1.  The
+# t_k are block rows: a (..., G, n, W) stack whose block row j holds rows
+# nj .. nj + n - 1 of columns nj .. nj + W - 1 (matcore.block_qr's layout).
+# The leading axis stacks the users, so a round makes the same numpy calls
+# whatever K is.
 
 
-def _retriangularize(t_mats, u_mats, v_total, w):
-    """Apply the shared right factor blockdiag(w, ..., w) and restore
-    triangularity by QR.
+def _gather(stack, src, outside):
+    out = stack.reshape(*stack.shape[:-3], -1)[..., src]
+    out[..., outside] = 0.0
+    return out
 
-    Each t_k is upper triangular with zero strict block-lower n x n
-    blocks, and multiplying by a block-diagonal factor keeps both, so the
-    QR input is block upper triangular and its positive-diagonal Q is
-    block diagonal: one n x n QR per diagonal block (matcore.block_qr).
-    The zeros hold because round 1 leaves the t_k block diagonal and the
-    reorderings never move a coupled coordinate pair below the blocks.
-    For the first reordering this follows from the group layout: element
-    q2 of group a sits at position n - q2 of original block
-    a - 1 + (q2 - 1) * (delta + 1) / n.  A coupled pair in one block,
-    row element q2 of group a and column element q2' of group b, has
-    q2 >= q2' (row at or left of the column), hence
-    a - b = (q2' - q2) * (delta + 1) / n <= 0: never below the blocks.
-    Later rounds keep it on every case the tests run; block_qr checks it
-    on each call and raises rather than drop a nonzero entry.  The cost
-    is O(n * (nN)^2) per user instead of O((nN)^3).
+
+def _select_columns(offsets, pos, *stacks):
+    """Columns ``pos`` (0-based) of the column-block ``stacks``, which share
+    the first rows ``offsets``: returns the new first rows and the new
+    stacks.  A new block starts at the first row of the blocks its columns
+    come from and is as high as the widest span they cover."""
+    height, n = stacks[0].shape[-2:]
+    src_block, src_col = np.divmod(pos.reshape(-1, n), n)
+    first = offsets[src_block]
+    new_offsets = first.min(axis=1)
+    lift = first - new_offsets[:, np.newaxis]
+    # row r of new block j is row r - lift of the block its column comes from
+    row = np.arange(lift.max() + height)[:, np.newaxis] - lift[:, np.newaxis, :]
+    outside = (row < 0) | (row >= height)
+    src = np.where(outside, 0, (src_block[:, np.newaxis, :] * height + row) * n
+                   + src_col[:, np.newaxis, :])
+    return (new_offsets, *(_gather(s, src, outside) for s in stacks))
+
+
+def _select_rows(t, pos):
+    """t[pos][:, pos] for the block-row stack ``t``, in the same layout.
+
+    Each stored slot goes to its place in the new matrix, and the new rows
+    are as wide as the furthest slot lies right of its diagonal block.  A
+    nonzero entry that would land below the diagonal blocks raises
+    NotBlockTriangularError: the layout has no room for it, and it is never
+    dropped.  For the first reordering none can: element q2 of group a sits
+    at position n - q2 of original block a - 1 + (q2 - 1) * (delta + 1) / n,
+    so a coupled pair in one block, row element q2 of group a and column
+    element q2' of group b, has q2 >= q2' (row at or left of the column),
+    hence a - b = (q2' - q2) * (delta + 1) / n <= 0.  Later rounds keep it
+    on every case the tests run.
     """
-    n = w.shape[0]
-    for k in range(len(t_mats)):
-        q_blocks, t_mats[k] = matcore.block_qr(_times_blockdiag(t_mats[k], w), n)
-        u_mats[k] = _times_blockdiag(u_mats[k], q_blocks)
-    return _times_blockdiag(v_total, w)
+    *stack, g, n, width = t.shape
+    size = n * g
+    new_index = np.full(size, -1)
+    new_index[pos] = np.arange(pos.size)
+    row = np.arange(size)[:, np.newaxis]
+    col = row // n * n + np.arange(width)
+    new_row = new_index[row]
+    new_col = np.where(col < size, new_index[np.minimum(col, size - 1)], -1)
+    gap = new_col - new_row // n * n          # new column, from its block row's start
+    kept = (new_row >= 0) & (new_col >= 0)
+    flat = t.reshape(*stack, -1)
+    if np.any(flat[..., np.flatnonzero(kept & (gap < 0))]):
+        raise NotBlockTriangularError(
+            "the reordering moves a nonzero entry below the %d x %d diagonal blocks" % (n, n))
+    slots = np.flatnonzero(kept & (gap >= 0))
+    new_width = n * (int(gap.ravel()[slots].max()) // n + 1)
+    out = np.zeros((*stack, pos.size * new_width), dtype=np.complex128)
+    out[..., (new_row * new_width + gap).ravel()[slots]] = flat[..., slots]
+    return out.reshape(*stack, pos.size // n, n, new_width)
+
+
+def _dense_columns(cols, offsets, rows):
+    """The (..., rows, nG) matrices held as the column blocks ``cols``."""
+    *stack, g, height, n = cols.shape
+    row = offsets[:, np.newaxis, np.newaxis] + np.arange(height)[:, np.newaxis]
+    col = n * np.arange(g)[:, np.newaxis, np.newaxis] + np.arange(n)
+    inside = np.broadcast_to(row < rows, cols.shape[-3:])
+    out = np.zeros((*stack, rows, n * g), dtype=np.complex128)
+    out.reshape(*stack, -1)[..., (row * (n * g) + col)[inside]] = cols[..., inside]
+    return out
+
+
+def _dense_rows(t):
+    """The (..., nG, nG) matrices held as the block rows ``t``."""
+    *stack, g, n, width = t.shape
+    size = n * g
+    row = np.arange(size).reshape(g, n, 1)
+    col = n * np.arange(g)[:, np.newaxis, np.newaxis] + np.arange(width)
+    inside = np.broadcast_to(col < size, t.shape[-3:])
+    out = np.zeros((*stack, size, size), dtype=np.complex128)
+    out.reshape(*stack, -1)[..., (row * size + col)[inside]] = t[..., inside]
+    return out
 
 
 def _rounds(matrices, n_ext, mode):
     """The rounds of both constructions: round l's local step is gmd of
     user l's active n x n block (mode "gmd", K rounds) or jet2 of those of
-    users l and l + 1 (mode "jet", K - 1 rounds)."""
+    users l and l + 1 (mode "jet", K - 1 rounds).
+
+    Each round reorders, applies the shared right factor blockdiag(w, ...,
+    w) and restores triangularity by QR.  Each t_k is upper triangular with
+    zero strict block-lower n x n blocks (_select_rows), and multiplying by
+    a block-diagonal factor keeps both, so the QR input is block upper
+    triangular and its positive-diagonal Q is block diagonal: one n x n QR
+    per diagonal block (matcore.block_qr).
+    """
     mats, n = _check_square_set(matrices)
     k_users = len(mats)
     min_ext = discarded_uses(n, k_users, mode) + 1
@@ -132,26 +196,29 @@ def _rounds(matrices, n_ext, mode):
     # round 1 on the matrices themselves, whose extensions are block
     # diagonal: one n x n QR per user aligns everyone
     w = local_v(mats, 0)
-    facs = [matcore.qr(m @ w) for m in mats]
-    v_total = matcore.time_extend(w, n_ext)
-    u_mats = [matcore.time_extend(f.q, n_ext) for f in facs]
-    t_mats = [matcore.time_extend(f.r, n_ext) for f in facs]
-    coords = list(range(1, n * n_ext + 1))
+    q, r = matcore.block_qr(np.stack(mats)[:, np.newaxis] @ w)
+    offsets = n * np.arange(n_ext)
+    v = np.repeat(w[np.newaxis], n_ext, axis=0)
+    u = np.repeat(q, n_ext, axis=1)
+    t = np.repeat(r, n_ext, axis=1)
+    coords = np.arange(1, n * n_ext + 1)
 
     for round_l in range(2, rounds + 1):
         groups = _reorder_indices(n, rounds, n_ext, round_l)
-        flat = [i for g in groups for i in g]
-        pos = matcore.positions(t_mats[0].shape[0], flat)
-        coords = [coords[i - 1] for i in flat]
-        v_total = v_total[:, pos]
-        for k in range(k_users):
-            u_mats[k] = u_mats[k][:, pos]
-            t_mats[k] = t_mats[k][np.ix_(pos, pos)]
-        w = local_v([t[0:n, 0:n] for t in t_mats], round_l - 1)
-        v_total = _retriangularize(t_mats, u_mats, v_total, w)
+        pos = matcore.positions(coords.size, [i for g in groups for i in g])
+        coords = coords[pos]
+        offsets, v, u = _select_columns(offsets, pos, v, u)
+        t = _select_rows(t, pos)
+        w = local_v(t[:, 0, :, :n], round_l - 1)
+        q, t = matcore.block_qr((t.reshape(-1, n) @ w).reshape(t.shape))
+        u = np.matmul(u, q)
+        v = (v.reshape(-1, n) @ w).reshape(v.shape)
 
-    return JointFactors(v=v_total, users=list(zip(u_mats, t_mats)),
-                        diag=np.real(np.diag(t_mats[0])), n_ext=n_ext, kept_indices=coords)
+    t_dense = _dense_rows(t)
+    return JointFactors(v=_dense_columns(v, offsets, n * n_ext),
+                        users=list(zip(_dense_columns(u, offsets, n * n_ext), t_dense)),
+                        diag=np.real(np.diag(t_dense[0])), n_ext=n_ext,
+                        kept_indices=coords.tolist())
 
 
 def nearly_kgmd(matrices, n_ext):

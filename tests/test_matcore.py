@@ -11,9 +11,7 @@ from jtri.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonPositiveEntryError,
-    NotBlockTriangularError,
     NotFiniteError,
-    NotSquareError,
     NumericalError,
     ParseError,
     RankDeficientError,
@@ -21,7 +19,9 @@ from jtri.errors import (
     SingularMatrixError,
 )
 from util import (
+    block_rows,
     embed,
+    from_block_rows,
     extraction_matrix,
     matrix_to_json_per_entry,
     per_entry_document,
@@ -78,7 +78,7 @@ def test_all_zero_and_tiny_inputs():
     with pytest.raises(RankDeficientError):
         matcore.qr(zero)
     with pytest.raises(RankDeficientError):
-        matcore.block_qr(zero, 1)
+        matcore.block_qr(zero[np.newaxis])
     with pytest.raises(SingularMatrixError):
         gtd.gmd(zero)
     assert np.array_equal(multicast.cov_sqrt(zero), zero)
@@ -87,10 +87,10 @@ def test_all_zero_and_tiny_inputs():
     c = a @ a.conj().T
     for scale in (1e-280, 1e-300, 1e-305):
         fac = matcore.qr(scale * a)
-        q, r = matcore.block_qr(scale * a, 3)
+        q, r = matcore.block_qr(scale * a[np.newaxis])
         g = gtd.gmd(scale * a)
         b = multicast.cov_sqrt(scale * c)
-        for rec, m in ((fac.q @ (fac.r / scale), a), (q[0] @ (r / scale), a),
+        for rec, m in ((fac.q @ (fac.r / scale), a), (q[0] @ (r[0] / scale), a),
                        (g.u @ (g.r / scale) @ g.v.conj().T, a), (b @ (b.conj().T / scale), c)):
             assert np.max(np.abs(rec - m)) <= 1e-13 * np.max(np.abs(m))
 
@@ -382,12 +382,16 @@ def _block_diag(blocks):
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), g=st.integers(1, 8), log_scale=st.floats(-100.0, 100.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_block_qr_agrees_with_qr(n, g, log_scale, seed):
+       seed=st.integers(0, 2 ** 32 - 1), width=st.integers(0, 8))
+def test_block_qr_agrees_with_qr(n, g, log_scale, seed, width):
+    # block rows of any width that holds the band, including rows that run
+    # past the last column; entries below the diagonal inside a diagonal
+    # block are part of the input
     a = _block_upper(np.random.default_rng(seed), n, g, 10.0 ** log_scale)
-    q_blocks, r = matcore.block_qr(a, n)
+    q_blocks, r_rows = matcore.block_qr(block_rows(a, n, n * g + width))
     ref = matcore.qr(a)
     q = _block_diag(q_blocks)
+    r = from_block_rows(r_rows)
     assert q_blocks.shape == (g, n, n)
     assert np.linalg.norm(q - ref.q) <= 1e-13 * np.linalg.norm(ref.q)
     assert np.linalg.norm(r - ref.r) <= 1e-13 * np.linalg.norm(ref.r)
@@ -399,7 +403,8 @@ def test_block_qr_agrees_with_qr(n, g, log_scale, seed):
 
 def test_block_qr_rank_threshold_matches_qr():
     # a diagonal block u @ diag(1, eps) puts eps on R's diagonal; both QRs
-    # reject it below TOL_RANK * ||a||_F and accept it above
+    # reject it below TOL_RANK * ||a||_F and accept it above, and in a
+    # stack each matrix is held to its own norm
     rng = np.random.default_rng(20)
     n, g = 2, 5
     base = _block_upper(rng, n, g)
@@ -407,7 +412,10 @@ def test_block_qr_rank_threshold_matches_qr():
         a = base.copy()
         eps = ratio * matcore.TOL_RANK * np.linalg.norm(a)
         a[4:6, 4:6] = rand_unitary(rng, 2) @ np.diag([1.0, eps])
-        for factor in (matcore.qr, lambda m: matcore.block_qr(m, n)):
+        rows = block_rows(a, n, n * g)
+        louder = block_rows(1e3 * base, n, n * g)
+        for factor in (matcore.qr, lambda m: matcore.block_qr(rows),
+                       lambda m: matcore.block_qr(np.stack([louder, rows]))):
             if raises:
                 with pytest.raises(RankDeficientError):
                     factor(a)
@@ -415,20 +423,13 @@ def test_block_qr_rank_threshold_matches_qr():
                 factor(a)
 
 
-def test_block_qr_rejects_block_lower_entries():
+def test_block_qr_needs_the_diagonal_blocks():
     rng = np.random.default_rng(21)
-    a = _block_upper(rng, 3, 4)
-    matcore.block_qr(a, 3)
-    for i, j in ((3, 2), (11, 0), (6, 5)):
-        bad = a.copy()
-        bad[i, j] = 1e-300
-        with pytest.raises(NotBlockTriangularError):
-            matcore.block_qr(bad, 3)
-    # entries below the diagonal inside a diagonal block are allowed
-    inside = a.copy()
-    inside[4, 3] = 1.0
-    matcore.block_qr(inside, 3)
+    rows = block_rows(_block_upper(rng, 3, 4), 3, 6)
     with pytest.raises(LengthMismatchError):
-        matcore.block_qr(a, 5)
-    with pytest.raises(NotSquareError):
-        matcore.block_qr(a[:, :9], 3)
+        matcore.block_qr(rows[..., :2])
+    with pytest.raises(LengthMismatchError):
+        matcore.block_qr(rows[0])
+    rows[1, 2, 4] = np.nan
+    with pytest.raises(NotFiniteError):
+        matcore.block_qr(rows)

@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jtri import joint, matcore, spacetime
 from jtri.errors import (
     BadDeterminantError,
     DuplicateIndexError,
     FormMismatchError,
+    NotBlockTriangularError,
+    SingularMatrixError,
     TooFewExtensionsError,
     UnachievableFractionError,
 )
@@ -13,9 +19,11 @@ import test_golden as golden
 from util import (
     extended_gmd_residual,
     extraction_matrix,
+    from_block_rows,
     nearly_kgmd_dense,
     rand_real_det_one,
     rand_unit_det,
+    rand_unitary,
 )
 
 TABLE_FRACTIONS = [(1, 3), (37, 100), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (9, 10)]
@@ -434,3 +442,103 @@ def test_nearly_kgmd_reorder_rejects_duplicate_index(monkeypatch):
     monkeypatch.setattr(spacetime, "_reorder_indices", duplicating)
     with pytest.raises(DuplicateIndexError):
         spacetime.nearly_kgmd(mats, 8)
+
+
+def test_nearly_kjet_ill_conditioned_families():
+    # U diag(sqrt(c), 1/sqrt(c)) W with Haar U and W: the |det| of the
+    # quotients that jet2 derives drifts off one with the condition number,
+    # and is not checked again.  At c = 1e7 a quotient is singular to
+    # working precision, and that is what is reported.
+    def family(rng, c):
+        return [rand_unitary(rng, 2) @ np.diag([np.sqrt(c), 1.0 / np.sqrt(c)])
+                @ rand_unitary(rng, 2) for _ in range(3)]
+
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        mats = family(rng, 1e5)
+        fac = spacetime.nearly_kjet(mats, 4)
+        for (u, t), a in zip(fac.users, mats):
+            ext = matcore.time_extend(a, 4)
+            assert np.linalg.norm(u.conj().T @ ext @ fac.v - t) <= 1e-14 * np.linalg.norm(ext)
+            assert np.max(np.abs(np.real(np.diag(t)) / fac.diag - 1.0)) <= 1e-6
+    with pytest.raises(SingularMatrixError):
+        spacetime.nearly_kjet(family(np.random.default_rng(3), 1e7), 4)
+
+
+# --- banded rounds -------------------------------------------------------------
+
+# the dense oracle is O((nN)^3) per round and user, so N stops at 256 / n;
+# that leaves out only n = 4, K = 5, mode "gmd", whose smallest N is 256
+ORACLE_ROWS = 256
+BAND_CASES = [(n, k_users, mode, lo, min(3 * lo + 7, ORACLE_ROWS // n))
+              for n in (2, 3, 4) for mode, first in (("gmd", 1), ("jet", 2))
+              for k_users in range(first, 6)
+              for lo in [spacetime.discarded_uses(n, k_users, mode) + 1]
+              if n * lo <= ORACLE_ROWS]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(BAND_CASES).flatmap(
+           lambda c: st.tuples(st.just(c[:3]), st.integers(c[3], c[4]))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rounds_match_the_dense_oracle_and_stay_banded(case, seed):
+    # with R rounds, v and u_k have lower bandwidth n^R - 1 and upper
+    # bandwidth n - 1, and t_k has upper bandwidth n^R - 1, whatever N is;
+    # outside the band every entry is exactly zero.  The oracle orders its
+    # arithmetic differently, and a local step whose block has nearly equal
+    # singular values turns that roundoff into a rotation of v and u_k:
+    # random draws reach 2.7e-11 (n=2, K=5, N=16, seed 201), hence 1e-9
+    (n, k_users, mode), n_ext = case
+    rng = np.random.default_rng(seed)
+    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
+    construct = spacetime.nearly_kgmd if mode == "gmd" else spacetime.nearly_kjet
+    fac = construct(mats, n_ext)
+    assert_same_factors(fac, nearly_kgmd_dense(mats, n_ext, mode), rtol=1e-9)
+    reach = n ** (k_users if mode == "gmd" else k_users - 1) - 1
+    for m in [fac.v] + [u for u, _ in fac.users]:
+        rows, cols = np.indices(m.shape)
+        assert not np.any(m[(rows - cols > reach) | (cols - rows > n - 1)])
+    for _, t in fac.users:
+        rows, cols = np.indices(t.shape)
+        assert not np.any(t[(cols - rows > reach) | (rows > cols)])
+
+
+def test_nearly_kgmd_peak_memory_is_its_result():
+    # the dense factors are assembled once, at the end: no (nN)^2 array
+    # is made per round
+    rng = np.random.default_rng(15)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        fac = spacetime.nearly_kgmd(mats, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = fac.v.nbytes + sum(u.nbytes + t.nbytes for u, t in fac.users)
+    assert peak <= 1.1 * result
+
+
+def test_reorder_rejects_entries_moved_below_the_blocks():
+    # block rows as after round 1 of (n, K, N) = (2, 3, 8), plus one tiny
+    # entry right of a diagonal block: the reordering raises exactly when
+    # the dense t[pos][:, pos] holds that entry below the diagonal blocks,
+    # and otherwise returns that matrix
+    n, n_ext, width = 2, 8, 6
+    rng = np.random.default_rng(16)
+    groups = spacetime._reorder_indices(n, 3, n_ext, 2)
+    pos = matcore.positions(n * n_ext, [i for g in groups for i in g])
+    base = np.zeros((n_ext, n, width), dtype=complex)
+    base[:, :, :n] = np.triu(rng.standard_normal((n_ext, n, n)) + 3.0)
+    below = np.arange(pos.size)[:, None] // n > np.arange(pos.size)[None, :] // n
+    raised = 0
+    for j, i, c in np.ndindex(n_ext - 1, n, width - n):
+        band = base.copy()
+        band[j, i, n + c] = 1e-300
+        dense = from_block_rows(band)[np.ix_(pos, pos)]
+        if np.any(dense[below]):
+            raised += 1
+            with pytest.raises(NotBlockTriangularError):
+                spacetime._select_rows(band[np.newaxis], pos)
+        else:
+            assert np.array_equal(from_block_rows(spacetime._select_rows(band, pos)), dense)
+    assert raised
