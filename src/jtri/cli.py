@@ -10,8 +10,9 @@ separator, LF endings and 12 significant digits.
 Commands put numpy arrays into their output documents as they are, and
 ``matcore.dumps`` writes the JSON: compact, keys sorted, byte for byte what
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for the
-document with each array as its matrix object, with all-zero [re, im]
-pairs taken from a four-entry signed-zero table.  A non-finite number is
+document with each array as its matrix object.  It writes a matrix as runs
+of equal [re, im] pairs, formatting each distinct pair once, so the banded
+``spacetime`` factors cost little to write.  A non-finite number is
 never written: it fails the command with exit 4, in a matrix or as a
 scalar (a non-finite input exits 5), except that ``simulate`` reports an
 infinite SNR as null.
@@ -94,14 +95,16 @@ def _payload_matrices(payload, minimum=1):
 
 
 def _emit(args, obj):
-    """Write a command's output: ``obj`` as JSON, or as it is when it is
-    already text (the CSV form of ``tables``)."""
-    data = obj if isinstance(obj, str) else matcore.dumps(obj) + "\n"
+    """Write a command's output: ``obj`` as JSON and a newline, or as it is
+    when it is already text (the CSV form of ``tables``).  The JSON text and
+    its newline are written one after the other: joined, the text would be
+    copied once more."""
+    parts = [obj] if isinstance(obj, str) else [matcore.dumps(obj), "\n"]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(data)
+        sys.stdout.writelines(parts)
 
 
 def _check_tol(args, residuals):

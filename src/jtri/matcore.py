@@ -9,11 +9,12 @@ All index lists crossing the API (kept indices, :func:`positions`) are
 JSON text is written by one function, :func:`dumps`.  Its output is byte
 for byte ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
 the document with every matrix replaced by :func:`matrix_to_json`, but it
-formats whole arrays at once: a pair whose two parts are both zero takes
-its text from the four-entry signed-zero table ``[0.0,0.0]``,
-``[0.0,-0.0]``, ``[-0.0,0.0]``, ``[-0.0,-0.0]`` (indexed by
-``2 * signbit(re) + signbit(im)``), and only the other pairs go through
-``float.__repr__``, which is what ``json`` uses.
+writes a matrix as runs of equal [re, im] pairs: pairs are equal when the
+bits of both parts are (so ``0.0`` and ``-0.0`` stay apart), each distinct
+pair is formatted once with ``float.__repr__``, which is what ``json``
+uses, and a run is its pair's text repeated.  The banded, block-periodic
+time-extension factors hold few runs and fewer distinct pairs, so their
+cost is the O(entries) numpy work of finding the runs.
 """
 
 import json
@@ -269,8 +270,6 @@ def matrix_from_json(obj):
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
-# the text of an all-zero [re, im] pair, at 2 * signbit(re) + signbit(im)
-_ZERO_PAIRS = np.array(["[0.0,0.0]", "[0.0,-0.0]", "[-0.0,0.0]", "[-0.0,-0.0]"], dtype=object)
 # one encoder for every scalar, key and array-free subtree: json.dumps with
 # non-default options would build a new encoder on each call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -286,21 +285,56 @@ def _holds_array(obj):
     return False
 
 
+def _distinct_pairs(values):
+    """The distinct entries of the complex array ``values``, told apart by
+    their bits, in order of first appearance; and for each entry the index
+    of its value among them."""
+    first = {}
+    # map draws len(first) before each call, so a new key is stored with
+    # the number of keys before it: its index
+    index = np.fromiter(map(first.setdefault, values.view("V16").tolist(),
+                            iter(first.__len__, None)), dtype=np.intp, count=values.size)
+    return np.fromiter(first, dtype="V16", count=len(first)).view(np.complex128), index
+
+
+def _runs(m):
+    """The text of ``m``'s [re, im] pairs in row-major order, as json writes
+    them, cut into runs of equal pairs: joined, they are the matrix's data.
+
+    Pairs are equal when the bits of re and im are, so 0.0 and -0.0 stay
+    apart.  Each distinct pair among the runs is formatted once, and a run
+    is its pair's text repeated: past O(entries) numpy work, the cost is in
+    proportion to the runs and the distinct pairs.
+    """
+    flat = np.ascontiguousarray(m).reshape(-1)
+    count = flat.size
+    if count == 0:
+        return []
+    pairs = flat.view(np.int64).reshape(count, 2)
+    differ = pairs[1:] != pairs[:-1]
+    edge = np.empty(count + 1, dtype=bool)
+    np.logical_or(differ[:, 0], differ[:, 1], out=edge[1:count])
+    # the last pair is a run of its own: its text alone has no comma
+    edge[0] = edge[count - 1] = edge[count] = True
+    edges = edge.nonzero()[0]
+    starts = edges[:-1]
+    values, index = _distinct_pairs(flat[starts])
+    if not np.isfinite(values).all():
+        raise NumericalError("output holds a non-finite matrix entry")
+    texts = np.array([f"[{z.real!r},{z.imag!r}]," for z in values.tolist()], dtype=object)
+    runs = (texts[index] * (edges[1:] - starts)).tolist()
+    runs[-1] = runs[-1][:-1]
+    return runs
+
+
 def _write(obj, out):
     if isinstance(obj, np.ndarray):
-        try:
-            m = as_cmatrix(obj)
-        except NotFiniteError as exc:
-            raise NumericalError("output holds a non-finite matrix entry") from exc
-        re = m.real.ravel()
-        im = m.imag.ravel()
-        parts = _ZERO_PAIRS[2 * np.signbit(re) + np.signbit(im)]
-        nonzero = np.flatnonzero((re != 0.0) | (im != 0.0))
-        r = float.__repr__
-        parts[nonzero] = ["[%s,%s]" % (r(x), r(y))
-                          for x, y in zip(re[nonzero].tolist(), im[nonzero].tolist())]
+        m = np.asarray(obj, dtype=np.complex128)
+        if m.ndim != 2:
+            raise LengthMismatchError("expected a 2-D matrix, got ndim=%d" % m.ndim)
         out.append('{"cols":%d,"data":[' % m.shape[1])
-        out.append(",".join(parts.tolist()))
+        # joined once _runs has returned, and its arrays are freed
+        out.append("".join(_runs(m)))
         out.append('],"rows":%d}' % m.shape[0])
     elif isinstance(obj, dict) and _holds_array(obj):
         out.append("{")
@@ -329,7 +363,10 @@ def dumps(obj):
     its matrix object :func:`matrix_to_json`.
 
     The text equals ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
-    of that document byte for byte.  A non-finite number, in a matrix or
+    of that document byte for byte.  Each matrix is written on its own, as
+    runs of equal pairs (:func:`_runs`), so the work beyond numpy's
+    is in proportion to its runs and distinct pairs, and the memory beyond
+    the text to one matrix at a time.  A non-finite number, in a matrix or
     as a scalar, raises NumericalError, so the text never holds NaN or
     Infinity.  A subtree that holds no array goes to the json encoder whole.
     """

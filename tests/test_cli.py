@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,18 +383,47 @@ def _spy_documents(monkeypatch):
     return docs
 
 
+# the golden corpus's unit-|det| pair C, G, which needs the mixed
+# upper/lower orientation
+_C = [[0.5, 0.0], [0.25, 2.0]]
+_G = [[0.0, 1.0], [-1.0, 0.5]]
+
+
 @pytest.mark.parametrize("args, mats", [
     (["spacetime", "--mode", "gmd", "--extensions", "64"], (2, 2, 2)),
+    (["spacetime", "--mode", "jet", "--extensions", "16"], (2, 2, 2)),
     (["decompose", "--kind", "jet"], (6, 6)),
+    (["decompose", "--kind", "upper-lower"], (_C, _G)),
 ])
 def test_whole_output_matches_per_entry_encoder(args, mats, capsys, monkeypatch):
+    # a size stands for a random unit-|det| matrix of that size
     rng = np.random.default_rng(21)
-    payload = {"matrices": [mat_json(rand_unit_det(rng, n)) for n in mats]}
+    payload = {"matrices": [mat_json(rand_unit_det(rng, m) if isinstance(m, int) else m)
+                            for m in mats]}
     docs = _spy_documents(monkeypatch)
     code, out, _ = run_cli(capsys, args, payload)
     assert code == 0 and len(docs) == 1
     want = json.dumps(per_entry_document(docs[0]), sort_keys=True, separators=(",", ":"))
     assert out == want + "\n"
+
+
+def test_dumps_peak_memory_is_twice_its_text(capsys, monkeypatch):
+    # the time-extension document (n=2, K=3, N=64): the writer holds one
+    # matrix's runs at a time, so its traced peak is the text and the list
+    # of per-matrix texts it is joined from
+    docs = _spy_documents(monkeypatch)
+    payload = {"matrices": [mat_json(m) for m in ([[2, 1], [1, 1]], [[1, 1j], [0, 1]], _C)]}
+    code, _out, _ = run_cli(capsys, ["spacetime", "--mode", "gmd", "--extensions", "64"],
+                            payload)
+    assert code == 0
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        text = matcore.dumps(docs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(text)
 
 
 def test_non_finite_scalar_output_is_numerical_failure(capsys, monkeypatch, tmp_path):

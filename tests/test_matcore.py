@@ -340,6 +340,70 @@ def test_dumps_document_equals_per_entry_json(doc):
     assert matcore.dumps(doc) == _oracle_text(doc)
 
 
+_NONZERO = st.one_of(st.sampled_from([x for x in _SPECIAL if x != 0.0]),
+                    st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+
+
+@st.composite
+def _pair_pools(draw):
+    """Pairs that the writer must keep apart: the four signed zeros, pairs
+    with one part +-0.0 and the other nonzero, and pairs equal but for the
+    sign of a zero part."""
+    x, y = draw(_NONZERO), draw(_NONZERO)
+    pool = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    pool += [complex(x, 0.0), complex(x, -0.0), complex(0.0, y), complex(-0.0, y), complex(x, y)]
+    return pool
+
+
+@st.composite
+def _run_matrices(draw, pool=None, first=None):
+    """Matrices of 0..6 rows and columns made of runs of equal pairs, in
+    row-major order: a run may cross row boundaries and fill the matrix.
+    Some come as transposed views, whose runs go down the columns.  With
+    ``first``, the matrix starts with that pair."""
+    pool = draw(_pair_pools()) if pool is None else pool
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2 * cols + 2)),
+                         min_size=1, max_size=rows * cols + 1))
+    entries = [] if first is None else [first]
+    for value, length in runs:
+        entries += [value] * length
+    entries += entries[-1:] * (rows * cols - len(entries))
+    flat = np.array(entries[:rows * cols], dtype=np.complex128)
+    if draw(st.booleans()):
+        return flat.reshape(cols, rows).T
+    return flat.reshape(rows, cols)
+
+
+@st.composite
+def _run_documents(draw):
+    """Lists of run matrices in which each matrix starts with the pair the
+    one before it ends with, with 0 x k and k x 0 matrices between them."""
+    pool = draw(_pair_pools())
+    doc = [draw(_run_matrices(pool))]
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, 3))
+            doc.append(np.zeros((0, k) if draw(st.booleans()) else (k, 0), dtype=complex))
+        last = next((m for m in reversed(doc) if m.size), None)
+        doc.append(draw(_run_matrices(pool, None if last is None else last[-1, -1])))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=_run_matrices())
+def test_dumps_run_matrix_equals_per_entry_json(m):
+    assert matcore.dumps(m) == _oracle_text(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_run_documents())
+def test_dumps_run_document_equals_per_entry_json(doc):
+    assert matcore.dumps(doc) == _oracle_text(doc)
+    assert matcore.dumps({"m": doc}) == _oracle_text({"m": doc})
+
+
 def test_dumps_signed_zero_table():
     m = np.array([[complex(0.0, 0.0), complex(0.0, -0.0)],
                   [complex(-0.0, 0.0), complex(-0.0, -0.0)],
@@ -347,6 +411,13 @@ def test_dumps_signed_zero_table():
     assert matcore.dumps(m) == (
         '{"cols":2,"data":[[0.0,0.0],[0.0,-0.0],[-0.0,0.0],[-0.0,-0.0],'
         '[-0.0,2.5],[1e-300,-0.0]],"rows":3}')
+    # runs that cross rows and end the matrix, next to pairs equal to them
+    # but for the sign of a zero
+    m = np.array([0j, 0j, complex(0.0, -0.0), complex(0.0, -0.0), complex(0.0, -0.0),
+                  2.5 + 0j, complex(2.5, -0.0), 0j, 0j]).reshape(3, 3)
+    assert matcore.dumps(m) == (
+        '{"cols":3,"data":[[0.0,0.0],[0.0,0.0],[0.0,-0.0],[0.0,-0.0],[0.0,-0.0],'
+        '[2.5,0.0],[2.5,-0.0],[0.0,0.0],[0.0,0.0]],"rows":3}')
 
 
 def test_dumps_rejects_non_finite():
