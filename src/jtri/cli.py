@@ -2,17 +2,20 @@
 
 Subcommands: decompose, spacetime, tables, examples, simulate.  Matrices
 travel as JSON objects {"rows": n, "cols": m, "data": [[re, im], ...]}
-(row-major); multi-matrix inputs as {"matrices": [...]} plus parameters
-(``target`` for gtd, ``block_sizes`` and ``block_dets`` for block).
-Output is JSON; ``tables --format csv`` writes CSV with '.' decimal, ','
-separator, LF endings and 12 significant digits.
+(row-major, n and m JSON integers); multi-matrix inputs as
+{"matrices": [...]} plus parameters (``target`` for gtd, ``block_sizes``
+and ``block_dets`` for block).  Output is JSON; ``tables --format csv``
+writes CSV with '.' decimal, ',' separator, LF endings and 12 significant
+digits.
 
 Commands put numpy arrays into their output documents as they are, and
 ``matcore.dumps`` writes the JSON: compact, keys sorted, byte for byte what
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for the
-document with each array as its matrix object.  It writes a matrix as runs
-of equal [re, im] pairs, formatting each distinct pair once, so the banded
-``spacetime`` factors cost little to write.  A non-finite number is
+document with each array as its matrix object.  That call writes it, with
+a mark string in each array's place that is then replaced by the matrix's
+text, written as runs of equal [re, im] pairs, each distinct pair
+formatted once, so the banded ``spacetime`` factors cost little to write.
+No output document holds the mark as a string.  A non-finite number is
 never written: it fails the command with exit 4, in a matrix or as a
 scalar (a non-finite input exits 5), except that ``simulate`` reports an
 infinite SNR as null.
@@ -82,13 +85,14 @@ def _load_payload(args):
 
 def _payload_matrices(payload, minimum=1):
     if isinstance(payload, dict) and "matrices" in payload:
-        mats = [matcore.matrix_from_json(m) for m in payload["matrices"]]
+        items = payload["matrices"]
     elif isinstance(payload, dict) and "rows" in payload:
-        mats = [matcore.matrix_from_json(payload)]
-    elif isinstance(payload, list):
-        mats = [matcore.matrix_from_json(m) for m in payload]
+        items = [payload]
     else:
+        items = payload
+    if not isinstance(items, list):
         raise ParseError("expected a matrix object or {\"matrices\": [...]}")
+    mats = [matcore.matrix_from_json(m) for m in items]
     if len(mats) < minimum:
         raise ParseError("need at least %d matrices" % minimum)
     return mats, payload if isinstance(payload, dict) else {}
@@ -105,6 +109,16 @@ def _emit(args, obj):
             fh.writelines(parts)
     else:
         sys.stdout.writelines(parts)
+
+
+def _tolerance(text):
+    """--tol's bound: NaN would pass every run and -1 fail every one."""
+    try:
+        if float(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("needs a number >= 0, got %r" % text)
 
 
 def _check_tol(args, residuals):
@@ -394,7 +408,7 @@ def build_parser():
     p = sub.add_parser("decompose", help="single- or multi-matrix decompositions")
     p.add_argument("--kind", required=True,
                    choices=("gtd", "gmd", "jet", "kgmd", "upper-lower", "block"))
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="fail the run (exit 4) when a residual exceeds this bound")
     add_io(p)
     p.set_defaults(func=_cmd_decompose)

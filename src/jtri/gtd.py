@@ -28,7 +28,6 @@ from .errors import (
     LengthMismatchError,
     MajorizationError,
     NonPositiveEntryError,
-    NotSquareError,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -64,12 +63,7 @@ class BlockGtdFactors(GtdFactors):
 
 
 def _check_square_invertible(a):
-    m = matcore.as_cmatrix(a)
-    n, cols = m.shape
-    if n != cols:
-        raise NotSquareError("need a square matrix, got %d x %d" % (n, cols))
-    if n == 0:
-        raise ShapeMismatchError("need a nonempty matrix")
+    (m,), _n = matcore.check_square_set([a])
     fac = matcore.svd(m)
     if fac.sigma[-1] <= matcore.TOL_RANK * fac.sigma[0]:
         raise SingularMatrixError("matrix is singular to working precision")
@@ -234,6 +228,18 @@ def check_multiplicity_conditions(sigma, values, mults):
     return matcore.first_failing_group(sig, counts * np.log(vals), counts) is None
 
 
+def check_blocks(block_sizes, values, n, what):
+    """``block_sizes`` as ints and ``values`` as complex numbers, one
+    ``what`` per block, with the sizes positive and summing to n."""
+    sizes = [int(s) for s in block_sizes]
+    values = [complex(x) for x in values]
+    if len(sizes) != len(values):
+        raise ShapeMismatchError("one %s per block" % what)
+    if any(s <= 0 for s in sizes) or sum(sizes) != n:
+        raise ShapeMismatchError("block sizes must be positive and sum to %d" % n)
+    return sizes, values
+
+
 def block_gtd(a, spec):
     """Block upper-triangular decomposition with prescribed |det| per
     diagonal block.
@@ -243,13 +249,8 @@ def block_gtd(a, spec):
     Returns BlockGtdFactors with 0-based block boundary offsets.
     """
     m, fac = _check_square_invertible(a)
-    n = m.shape[0]
-    sizes = [int(s) for s in spec.block_sizes]
-    dets = [complex(d) for d in spec.block_dets]
-    if len(sizes) != len(dets):
-        raise ShapeMismatchError("one determinant target per block")
-    if any(s <= 0 for s in sizes) or sum(sizes) != n:
-        raise ShapeMismatchError("block sizes must be positive and sum to %d" % n)
+    sizes, dets = check_blocks(spec.block_sizes, spec.block_dets, m.shape[0],
+                               "determinant target")
     if any(abs(d) == 0 for d in dets):
         raise ShapeMismatchError("block determinants must be nonzero")
     # feasibility, stated on the blocks sorted by their determinant root

@@ -26,11 +26,10 @@ from .errors import (
     ConditionViolatedError,
     NotConstructibleError,
     NotHermitianError,
-    NotSquareError,
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .gtd import gmd
+from .gtd import check_blocks, gmd
 
 
 @dataclass
@@ -67,27 +66,10 @@ def _det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _check_square_set(mats):
-    out = []
-    n = None
-    for a in mats:
-        m = matcore.as_cmatrix(a)
-        if m.shape[0] != m.shape[1]:
-            raise NotSquareError("all matrices must be square")
-        if m.shape[0] == 0:
-            raise ShapeMismatchError("matrices must be nonempty")
-        if n is None:
-            n = m.shape[0]
-        elif m.shape[0] != n:
-            raise ShapeMismatchError("all matrices must share one size")
-        out.append(m)
-    return out, n
-
-
 def normalize_equal_det(matrices):
     """Scale each matrix to unit |det|; returns (scaled, factors) with
     a_k = factors[k] * scaled[k]."""
-    mats, n = _check_square_set(matrices)
+    mats, n = matcore.check_square_set(matrices)
     scaled = []
     factors = []
     for m in mats:
@@ -268,9 +250,7 @@ def kgmd_exact(matrices):
     extensions; for a 2x2 pair that fails the F1 test, its message names
     the F1 value.
     """
-    mats, n = _check_square_set(matrices)
-    if not mats:
-        raise ShapeMismatchError("need at least one matrix")
+    mats, n = matcore.check_square_set(matrices)
     _check_absdet(mats, unit=True)
     return _kgmd_exact_core(mats, n)
 
@@ -305,7 +285,7 @@ def kgmd_to_kjet(matrices):
     The |det| condition is checked once, on the matrices: the quotients
     are not checked again.
     """
-    mats, n = _check_square_set(matrices)
+    mats, n = matcore.check_square_set(matrices)
     if len(mats) < 2:
         raise ShapeMismatchError("need at least two matrices")
     _check_absdet(mats)
@@ -370,13 +350,8 @@ def joint_block_feasible(a1, a2, block_sizes, det_ratios):
     generalized singular values, computed here as the singular values of
     a1 @ inv(a2).
     """
-    (m1, m2), n = _check_square_set([a1, a2])
-    sizes = [int(s) for s in block_sizes]
-    ratios = [complex(x) for x in det_ratios]
-    if len(sizes) != len(ratios):
-        raise ShapeMismatchError("one determinant ratio per block")
-    if any(s <= 0 for s in sizes) or sum(sizes) != n:
-        raise ShapeMismatchError("block sizes must be positive and sum to %d" % n)
+    (m1, m2), n = matcore.check_square_set([a1, a2])
+    sizes, ratios = check_blocks(block_sizes, det_ratios, n, "determinant ratio")
     try:
         quotient = m1 @ np.linalg.inv(m2)
     except np.linalg.LinAlgError as exc:

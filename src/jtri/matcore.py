@@ -1,20 +1,14 @@
 """Dense complex matrix core: QR/SVD wrappers with fixed conventions,
-2x2 adjugate, time extension, multiplicative majorization, and the JSON
-matrix interchange format.
+2x2 adjugate, time extension, multiplicative majorization, the shared
+input checks, and the JSON matrix interchange format.
 
 Matrices are numpy ``complex128`` 2-D arrays throughout the package.
 All index lists crossing the API (kept indices, :func:`positions`) are
 1-based; numpy storage is 0-based internally.
 
-JSON text is written by one function, :func:`dumps`.  Its output is byte
-for byte ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
-the document with every matrix replaced by :func:`matrix_to_json`, but it
-writes a matrix as runs of equal [re, im] pairs: pairs are equal when the
-bits of both parts are (so ``0.0`` and ``-0.0`` stay apart), each distinct
-pair is formatted once with ``float.__repr__``, which is what ``json``
-uses, and a run is its pair's text repeated.  The banded, block-periodic
-time-extension factors hold few runs and fewer distinct pairs, so their
-cost is the O(entries) numpy work of finding the runs.
+JSON text is written by one function, :func:`dumps`: json's encoder writes
+the document with a mark string in each matrix's place, and each mark is
+replaced by the matrix's text, so this module owns only the matrix format.
 """
 
 import json
@@ -29,6 +23,7 @@ from .errors import (
     LengthMismatchError,
     NonPositiveEntryError,
     NotFiniteError,
+    NotSquareError,
     NoConvergenceError,
     NumericalError,
     ParseError,
@@ -50,6 +45,22 @@ def as_cmatrix(a):
     if not np.all(np.isfinite(m)):
         raise NotFiniteError("matrix contains non-finite entries")
     return m
+
+
+def check_square_set(mats):
+    """The matrices as :func:`as_cmatrix` arrays, and their common size n:
+    there must be one or more, each square, nonempty and of one size."""
+    out = [as_cmatrix(a) for a in mats]
+    if not out:
+        raise ShapeMismatchError("need at least one matrix")
+    for m in out:
+        if m.shape[0] != m.shape[1]:
+            raise NotSquareError("need square matrices, got %d x %d" % m.shape)
+        if m.shape[0] == 0:
+            raise ShapeMismatchError("need nonempty matrices")
+        if m.shape != out[0].shape:
+            raise ShapeMismatchError("all matrices must share one size")
+    return out, out[0].shape[0]
 
 
 @dataclass
@@ -244,16 +255,16 @@ def matrix_to_json(a):
 
 def matrix_from_json(obj):
     """Inverse of :func:`matrix_to_json`, exact to the bit (signed zeros
-    included).  Anything but a rows*cols list of [re, im] number pairs is a
-    ParseError; a JSON null is refused, not read as NaN."""
+    included).  Anything but integer rows and cols and a rows*cols list of
+    [re, im] number pairs is a ParseError; a JSON null is refused, not read
+    as NaN."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (TypeError, KeyError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (TypeError, KeyError) as exc:
         raise ParseError("matrix object needs rows/cols/data fields") from exc
-    if rows < 0 or cols < 0:
-        raise ParseError("negative matrix size %d x %d" % (rows, cols))
+    # a JSON integer loads as int; bool is a type of its own
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise ParseError("matrix size %r x %r is not two integers >= 0" % (rows, cols))
     try:
         pairs = np.array(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -267,22 +278,16 @@ def matrix_from_json(obj):
     # loads as int or float (a literal NaN passes: as_cmatrix rejects it)
     if not set(map(type, chain.from_iterable(data))) <= {int, float}:
         raise ParseError("data holds a string, boolean or null where a number is expected")
-    return pairs.view(np.complex128).reshape(rows, cols)
+    try:
+        return pairs.view(np.complex128).reshape(rows, cols)
+    except ValueError as exc:     # an empty matrix with a side past numpy's limit
+        raise ParseError("matrix size %d x %d is too large" % (rows, cols)) from exc
 
 
-# one encoder for every scalar, key and array-free subtree: json.dumps with
-# non-default options would build a new encoder on each call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _holds_array(obj):
-    if isinstance(obj, np.ndarray):
-        return True
-    if isinstance(obj, dict):
-        return any(_holds_array(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return any(_holds_array(v) for v in obj)
-    return False
+# a matrix's place in json's text; long and with NULs, so that no short
+# string of a document equals it
+_MARK = "\0jtri-matrix\0"
+_TOKEN = json.dumps(_MARK)
 
 
 def _distinct_pairs(values):
@@ -327,49 +332,42 @@ def _runs(m):
     return runs
 
 
-def _write(obj, out):
-    if isinstance(obj, np.ndarray):
-        m = np.asarray(obj, dtype=np.complex128)
+def dumps(obj):
+    """Compact JSON text of ``obj`` with every ndarray as its matrix object
+    (:func:`matrix_to_json`), written by ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``: its ``default`` hook writes each matrix in
+    runs (:func:`_runs`) and hands json the mark ``"\\0jtri-matrix\\0"``,
+    whose quoted form in json's text is then replaced by the matrix's text.
+    With arrays, a key or string ending with the mark raises ValueError;
+    without, the text is json's.  A non-finite number raises NumericalError.
+    """
+    matrices = []
+
+    def matrix(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+        m = np.asarray(o, dtype=np.complex128)
         if m.ndim != 2:
             raise LengthMismatchError("expected a 2-D matrix, got ndim=%d" % m.ndim)
-        out.append('{"cols":%d,"data":[' % m.shape[1])
-        # joined once _runs has returned, and its arrays are freed
-        out.append("".join(_runs(m)))
-        out.append('],"rows":%d}' % m.shape[0])
-    elif isinstance(obj, dict) and _holds_array(obj):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError("keys of a dict holding arrays must be str, not %r" % (key,))
-            out.append('%s%s:' % ("," if i else "", _ENCODER.encode(key)))
-            _write(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) and _holds_array(obj):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    else:
-        try:
-            out.append(_ENCODER.encode(obj))
-        except ValueError as exc:
-            raise NumericalError("output holds a non-finite number: %s" % exc) from exc
+        # the runs are joined once _runs has returned, and its arrays are
+        # freed; head, runs and tail stay apart so the text is not copied
+        matrices.append(('{"cols":%d,"data":[' % m.shape[1], "".join(_runs(m)),
+                         '],"rows":%d}' % m.shape[0]))
+        return _MARK
 
-
-def dumps(obj):
-    """Compact JSON text of ``obj``, in which every ndarray is written as
-    its matrix object :func:`matrix_to_json`.
-
-    The text equals ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
-    of that document byte for byte.  Each matrix is written on its own, as
-    runs of equal pairs (:func:`_runs`), so the work beyond numpy's
-    is in proportion to its runs and distinct pairs, and the memory beyond
-    the text to one matrix at a time.  A non-finite number, in a matrix or
-    as a scalar, raises NumericalError, so the text never holds NaN or
-    Infinity.  A subtree that holds no array goes to the json encoder whole.
-    """
-    out = []
-    _write(obj, out)
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=matrix)
+    except ValueError as exc:
+        raise NumericalError("output holds a non-finite number: %s" % exc) from exc
+    if not matrices:
+        return text
+    parts = text.split(_TOKEN)
+    if len(parts) != len(matrices) + 1:
+        raise ValueError("the document holds %d arrays and %d quoted marks %r: a key or "
+                         "string ends with the mark" % (len(matrices), len(parts) - 1, _MARK))
+    out = parts[:1]
+    for pieces, part in zip(matrices, parts[1:]):
+        out.extend(pieces)
+        out.append(part)
     return "".join(out)

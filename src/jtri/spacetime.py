@@ -51,7 +51,6 @@ from .errors import (
 from .gtd import gmd
 from .joint import (
     JointFactors,
-    _check_square_set,
     _check_absdet,
     exists_2gmd,
     jet2,
@@ -179,7 +178,7 @@ def _rounds(matrices, n_ext, mode):
     triangular and its positive-diagonal Q is block diagonal: one n x n QR
     per diagonal block (matcore.block_qr).
     """
-    mats, n = _check_square_set(matrices)
+    mats, n = matcore.check_square_set(matrices)
     k_users = len(mats)
     min_ext = discarded_uses(n, k_users, mode) + 1
     _check_absdet(mats, unit=mode == "gmd")
@@ -235,7 +234,13 @@ def nearly_kgmd(matrices, n_ext):
 def nearly_kjet(matrices, n_ext):
     """Equal-diagonal variant for K >= 2 matrices with equal |det| and
     n_ext >= n^(K-2): the triangular parts are n*(n_ext - (n^(K-2) - 1))
-    wide and share one diagonal, whose product is |det|^(kept uses)."""
+    wide and share one diagonal, whose product is |det|^(kept uses).
+
+    On ill-conditioned families the users' "equal" diagonals drift apart:
+    the n x n quotients jet2 takes have condition number up to c^2, and
+    their GMD carries that error to every kept coordinate, up to 1.1e-5
+    relative at c = 1e6 (2.6e-7 at 1e5).  The result does not report it.
+    """
     return _rounds(matrices, n_ext, "jet")
 
 

@@ -157,6 +157,29 @@ def test_decompose_bad_matrix_entry_is_parse_error(data, capsys):
     assert out == "" and "parse error" in err
 
 
+@pytest.mark.parametrize("inline", [
+    '{"matrices": 5}',
+    '{"matrices": null}',
+    '{"rows": 1e400, "cols": 1, "data": [[1, 0]]}',
+    '{"rows": 2.7, "cols": 1, "data": [[1, 0], [2, 0]]}',
+    '{"rows": "2", "cols": 1, "data": [[1, 0], [2, 0]]}',
+    '{"rows": true, "cols": 1, "data": [[1, 0]]}',
+])
+def test_decompose_malformed_matrix_payload_is_parse_error(inline, capsys):
+    code, out, err = run_cli(capsys, ["decompose", "--kind", "gmd", "--inline", inline])
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "abc"])
+def test_decompose_tol_must_be_a_non_negative_number(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--kind", "gmd", "--tol", tol, "--inline", _EYE])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --tol" in err
+
+
 _BLOCK_OK = {"block_sizes": [2, 2], "block_dets": [6, 0.16666666666666666]}
 
 

@@ -271,6 +271,12 @@ def test_json_parse_errors():
                  [[True, 0.0]]):
         with pytest.raises(ParseError):
             matcore.matrix_from_json({"rows": 1, "cols": 1, "data": data})
+    # sizes must be JSON integers: no overflowed float, no truncated 2.7,
+    # no string, no boolean, and none past numpy's limit
+    for rows, cols, count in ((1e400, 1, 1), (2.7, 1, 2), ("2", 1, 2), (True, 1, 1),
+                              (1, False, 0), (10 ** 20, 0, 0)):
+        with pytest.raises(ParseError):
+            matcore.matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0]] * count})
 
 
 def test_json_literal_nan_is_not_a_parse_error():
@@ -313,12 +319,13 @@ def _matrices(draw):
     return base[:, :1]
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _LEAF = st.one_of(
     _matrices(), st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
-    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6))
+    _FINITE, _FINITE.map(np.float64), st.text(max_size=6), st.just([]), st.just({}))
 _DOCUMENT = st.recursive(
     _LEAF,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=12)
 
@@ -378,17 +385,20 @@ def _run_matrices(draw, pool=None, first=None):
 
 @st.composite
 def _run_documents(draw):
-    """Lists of run matrices in which each matrix starts with the pair the
-    one before it ends with, with 0 x k and k x 0 matrices between them."""
+    """Lists or tuples of run matrices in which each matrix starts with the
+    pair the one before it ends with, with 0 x k and k x 0 matrices, empty
+    lists and dicts and np.float64 scalars between them."""
     pool = draw(_pair_pools())
     doc = [draw(_run_matrices(pool))]
     for _ in range(draw(st.integers(1, 3))):
         for _ in range(draw(st.integers(0, 2))):
             k = draw(st.integers(0, 3))
-            doc.append(np.zeros((0, k) if draw(st.booleans()) else (k, 0), dtype=complex))
-        last = next((m for m in reversed(doc) if m.size), None)
+            doc.append(draw(st.sampled_from([
+                np.zeros((0, k), dtype=complex), np.zeros((k, 0), dtype=complex), [], {},
+                np.float64(draw(st.sampled_from(_SPECIAL)))])))
+        last = next((m for m in reversed(doc) if isinstance(m, np.ndarray) and m.size), None)
         doc.append(draw(_run_matrices(pool, None if last is None else last[-1, -1])))
-    return doc
+    return tuple(doc) if draw(st.booleans()) else doc
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -418,6 +428,28 @@ def test_dumps_signed_zero_table():
     assert matcore.dumps(m) == (
         '{"cols":3,"data":[[0.0,0.0],[0.0,0.0],[0.0,-0.0],[0.0,-0.0],[0.0,-0.0],'
         '[2.5,0.0],[2.5,-0.0],[0.0,0.0],[0.0,0.0]],"rows":3}')
+
+
+# the writer's mark for a matrix's place in json's text
+_MARK = "\0jtri-matrix\0"
+
+
+@pytest.mark.parametrize("doc", [
+    {_MARK: 1, "m": np.eye(2)},
+    {"m": np.eye(2), "s": [_MARK]},
+    # the escaped quote before the mark opens a quoted mark too
+    (np.zeros((0, 2)), 'x"' + _MARK),
+])
+def test_dumps_refuses_the_mark_next_to_arrays(doc):
+    with pytest.raises(ValueError, match="mark"):
+        matcore.dumps(doc)
+
+
+def test_dumps_writes_marks_and_int_keys_as_json_does():
+    # without arrays the mark is a string like any other; int keys are
+    # written as json writes them, arrays or not
+    for doc in ({_MARK: [_MARK, "x" + _MARK]}, {2: np.eye(1), 10: [np.zeros((0, 2)), {3: 1}]}):
+        assert matcore.dumps(doc) == _oracle_text(doc)
 
 
 def test_dumps_rejects_non_finite():
