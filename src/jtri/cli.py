@@ -21,7 +21,8 @@ scalar (a non-finite input exits 5), except that ``simulate`` reports an
 infinite SNR as null.
 
 Exit codes: 0 success, 2 parse error, 3 the requested decomposition is
-infeasible, 4 numerical failure, 5 dimension or precondition problem.
+infeasible, 4 numerical failure or out of memory, 5 dimension or
+precondition problem.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
@@ -336,9 +337,10 @@ def _cmd_simulate(args):
     payload = _load_payload(args)
     payload = payload if isinstance(payload, dict) else {}
     users, power = payload.get("users"), payload.get("power", 1.0)
-    if not isinstance(users, list) or not users or type(power) not in (int, float):
+    if (not isinstance(users, list) or not users or type(power) not in (int, float)
+            or not 0 < power <= sys.float_info.max):
         raise ParseError("simulate expects {\"users\": [matrix, ...], \"cov\": matrix, "
-                         "\"power\": number}")
+                         "\"power\": finite number > 0}")
     users = [matcore.matrix_from_json(h) for h in users]
     cov = matcore.matrix_from_json(payload["cov"]) if "cov" in payload else None
     power = float(power)
@@ -459,8 +461,8 @@ def main(argv=None):
     except DimensionError as exc:
         print("dimension error: %s" % exc, file=sys.stderr)
         return EXIT_DIMENSION
-    except JtriError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (JtriError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -16,15 +16,16 @@ unitary returns the unitary itself).  The reordering drops a fixed number
 of edge coordinates per round, independent of N, which is why the
 efficiency (kept / total) approaches one as N grows.
 
-Every factor the rounds build is banded, with a bandwidth that depends on
-n and K but not on N, and the rounds work on that band alone.  The shared
-right factor of a round is blockdiag(w, ..., w) for one n x n unitary w,
-so products with it are one n-column matmul.  The reordering is one gather
-of the stored band, by index maps that do not depend on the values.  And
-each QR input, t_k @ blockdiag(w, ...), is upper triangular in aligned
-n x n blocks, so its Q is block diagonal (matcore.block_qr): one n x n QR
-per diagonal block.  A round therefore costs O(N) for all users at once;
-the dense factors that are returned are assembled once, at the end.
+The rounds work on banded storage.  The shared right factor of a round
+is blockdiag(w, ..., w) for one n x n unitary w, so products with it are
+one n-column matmul, and a reordering is one gather of the band.  What
+they build is block Toeplitz, the "equal diagonals up to constant-length
+prefix and suffix" made exact: the column blocks of v and of each u_k are
+one n^R x n block shifted down by n, and the block rows of t_k one
+n x n^R block row shifted right by n and cut at the matrix edge (R
+rounds, E = R - 1).  These blocks are bitwise the same at every
+N >= 2 n^E, so the rounds run once, at min(N, 2 n^E), and the dense
+factors are written from them by strided block copies.
 
 nearly_kjet, for K matrices of equal |det|, runs the same rounds with
 joint.jet2 as the local step: K - 1 rounds, round l equalizing the active
@@ -143,51 +144,16 @@ def _select_rows(t, pos):
     return out.reshape(*stack, pos.size // n, n, new_width)
 
 
-def _dense_columns(cols, offsets, rows):
-    """The (..., rows, nG) matrices held as the column blocks ``cols``."""
-    *stack, g, height, n = cols.shape
-    row = offsets[:, np.newaxis, np.newaxis] + np.arange(height)[:, np.newaxis]
-    col = n * np.arange(g)[:, np.newaxis, np.newaxis] + np.arange(n)
-    inside = np.broadcast_to(row < rows, cols.shape[-3:])
-    out = np.zeros((*stack, rows, n * g), dtype=np.complex128)
-    out.reshape(*stack, -1)[..., (row * (n * g) + col)[inside]] = cols[..., inside]
-    return out
-
-
-def _dense_rows(t):
-    """The (..., nG, nG) matrices held as the block rows ``t``."""
-    *stack, g, n, width = t.shape
-    size = n * g
-    row = np.arange(size).reshape(g, n, 1)
-    col = n * np.arange(g)[:, np.newaxis, np.newaxis] + np.arange(width)
-    inside = np.broadcast_to(col < size, t.shape[-3:])
-    out = np.zeros((*stack, size, size), dtype=np.complex128)
-    out.reshape(*stack, -1)[..., (row * size + col)[inside]] = t[..., inside]
-    return out
-
-
-def _rounds(matrices, n_ext, mode):
-    """The rounds of both constructions: round l's local step is gmd of
-    user l's active n x n block (mode "gmd", K rounds) or jet2 of those of
-    users l and l + 1 (mode "jet", K - 1 rounds).
-
-    Each round reorders, applies the shared right factor blockdiag(w, ...,
-    w) and restores triangularity by QR.  Each t_k is upper triangular with
-    zero strict block-lower n x n blocks (_select_rows), and multiplying by
-    a block-diagonal factor keeps both, so the QR input is block upper
-    triangular and its positive-diagonal Q is block diagonal: one n x n QR
-    per diagonal block (matcore.block_qr).
-    """
-    mats, n = matcore.check_square_set(matrices)
-    k_users = len(mats)
-    min_ext = discarded_uses(n, k_users, mode) + 1
-    _check_absdet(mats, unit=mode == "gmd")
-    n_ext = int(n_ext)
-    if n_ext < min_ext:
-        raise TooFewExtensionsError(
-            "need at least %d extensions for %d users of size %d, got %d"
-            % (min_ext, k_users, n, n_ext))
-    rounds = k_users if mode == "gmd" else k_users - 1
+def _band_rounds(mats, n_ext, mode):
+    """The rounds at N = ``n_ext`` in the banded layout above: round l's
+    local step is gmd of user l's active n x n block (mode "gmd", K rounds)
+    or jet2 of those of users l and l + 1 (mode "jet", K - 1 rounds).  Each
+    QR input is block upper triangular (_select_rows keeps its strict
+    block-lower part zero), so its Q is block diagonal (matcore.block_qr).
+    Returns the first rows of the column blocks, v, the stacked u_k, the
+    stacked t_k and the kept 1-based coordinates."""
+    rounds = len(mats) if mode == "gmd" else len(mats) - 1
+    n = mats[0].shape[0]
 
     def local_v(blocks, k):     # k = l - 1 is the first active user of round l
         return (gmd(blocks[k]) if mode == "gmd" else jet2(blocks[k], blocks[k + 1])).v
@@ -212,12 +178,44 @@ def _rounds(matrices, n_ext, mode):
         q, t = matcore.block_qr((t.reshape(-1, n) @ w).reshape(t.shape))
         u = np.matmul(u, q)
         v = (v.reshape(-1, n) @ w).reshape(v.shape)
+    return offsets, v, u, t, coords
 
-    t_dense = _dense_rows(t)
-    return JointFactors(v=_dense_columns(v, offsets, n * n_ext),
-                        users=list(zip(_dense_columns(u, offsets, n * n_ext), t_dense)),
+
+def _block_toeplitz(block, n, rows, cols):
+    """The (..., rows, cols) matrices holding ``block`` (..., h, w) at rows
+    and columns n*j for every block column j, cut at the matrix edge: one
+    copy into a strided view of the output, then the few cut blocks."""
+    *stack, h, w = block.shape
+    out = np.zeros((*stack, rows, cols), dtype=np.complex128)
+    *outer, row_step, col_step = out.strides
+    whole = min(rows - h, cols - w) // n + 1
+    view = np.lib.stride_tricks.as_strided(
+        out, (*stack, whole, h, w), (*outer, n * (row_step + col_step), row_step, col_step))
+    view[...] = block[..., np.newaxis, :, :]
+    for j in range(whole, cols // n):
+        cut = out[..., n * j:n * j + h, n * j:n * j + w]
+        cut[...] = block[..., :cut.shape[-2], :cut.shape[-1]]
+    return out
+
+
+def _rounds(matrices, n_ext, mode):
+    mats, n = matcore.check_square_set(matrices)
+    k_users = len(mats)
+    min_ext = discarded_uses(n, k_users, mode) + 1
+    _check_absdet(mats, unit=mode == "gmd")
+    n_ext = int(n_ext)
+    if n_ext < min_ext:
+        raise TooFewExtensionsError(
+            "need at least %d extensions for %d users of size %d, got %d"
+            % (min_ext, k_users, n, n_ext))
+    _, v, u, t, coords = _band_rounds(mats, min(n_ext, 2 * min_ext), mode)
+    kept = n * (n_ext - min_ext + 1)
+    t_dense = _block_toeplitz(t[:, 0], n, kept, kept)
+    kept_indices = coords[:n] + np.arange(0, kept, n)[:, np.newaxis]
+    return JointFactors(v=_block_toeplitz(v[0], n, n * n_ext, kept),
+                        users=list(zip(_block_toeplitz(u[:, 0], n, n * n_ext, kept), t_dense)),
                         diag=np.real(np.diag(t_dense[0])), n_ext=n_ext,
-                        kept_indices=coords.tolist())
+                        kept_indices=kept_indices.ravel().tolist())
 
 
 def nearly_kgmd(matrices, n_ext):

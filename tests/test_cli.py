@@ -207,12 +207,24 @@ def test_decompose_malformed_parameters_are_parse_errors(kind, fields, capsys):
 _H = mat_json(np.diag([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("power", ["abc", None, "2", True])
+# power must also be finite and positive; 1e400 reads as inf
+@pytest.mark.parametrize("power", ["abc", None, "2", True, 0, -1, float("nan"), 1e400])
 def test_simulate_power_must_be_a_number(power, capsys):
     code, out, err = run_cli(capsys, ["simulate", "--trials", "100"],
                              {"users": [_H], "power": power})
     assert code == cli.EXIT_PARSE
     assert out == "" and "parse error" in err
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.spacetime, "nearly_kgmd", exhausted)
+    code, out, err = run_cli(capsys, ["spacetime", "--extensions", "1000000"],
+                             {"matrices": [mat_json(np.eye(2))]})
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and err == "error: out of memory\n"
 
 
 def test_simulate_users_must_be_a_nonempty_list(capsys):

@@ -20,6 +20,7 @@ from util import (
     extended_gmd_residual,
     extraction_matrix,
     from_block_rows,
+    from_column_blocks,
     nearly_kgmd_dense,
     rand_real_det_one,
     rand_unit_det,
@@ -501,6 +502,57 @@ def test_rounds_match_the_dense_oracle_and_stay_banded(case, seed):
     for _, t in fac.users:
         rows, cols = np.indices(t.shape)
         assert not np.any(t[(cols - rows > reach) | (rows > cols)])
+
+
+def invariance_sizes(n, k_users, mode, lo):
+    # N from the smallest through the first with no edge effects left
+    # (2 n^E) and on, plus one large N for a gmd and a jet family
+    sizes = {lo, lo + 1, 2 * lo - 1, 2 * lo, 2 * lo + 1, 3 * lo + 7}
+    return sorted(sizes | {257} if (n, k_users, mode) in ((2, 3, "gmd"), (2, 4, "jet")) else sizes)
+
+
+INVARIANCE_CASES = [(n, k_users, mode, n_ext) for n, k_users, mode, lo, _ in BAND_CASES
+                    for n_ext in invariance_sizes(n, k_users, mode, lo)]
+
+
+@pytest.mark.parametrize("n, k_users, mode, n_ext", INVARIANCE_CASES)
+def test_factors_are_the_band_rounds_at_n_itself(n, k_users, mode, n_ext):
+    # the rounds run once at min(N, 2 n^E) and the factors are written
+    # from their first blocks: bitwise what the rounds at N itself hold
+    rng = np.random.default_rng([n, k_users, n_ext, 3])
+    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
+    construct = spacetime.nearly_kgmd if mode == "gmd" else spacetime.nearly_kjet
+    fac = construct(mats, n_ext)
+    offsets, v, u, t, coords = spacetime._band_rounds(mats, n_ext, mode)
+    t_ref = from_block_rows(t)
+    assert np.array_equal(fac.v, from_column_blocks(v, offsets, n * n_ext))
+    for (got_u, got_t), want_u, want_t in zip(
+            fac.users, from_column_blocks(u, offsets, n * n_ext), t_ref, strict=True):
+        assert np.array_equal(got_u, want_u) and np.array_equal(got_t, want_t)
+    assert fac.kept_indices == coords.tolist()
+    assert np.array_equal(fac.diag, np.real(np.diag(t_ref[0])))
+    assert all(m.flags.c_contiguous for m in [fac.v, *(m for pair in fac.users for m in pair)])
+
+
+def test_rounds_cost_does_not_grow_with_n(monkeypatch):
+    # every QR the rounds make at N = 1024 is the one they make at 2 n^E
+    rng = np.random.default_rng(17)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    shapes = []
+    block_qr = matcore.block_qr
+
+    def recording(rows):
+        shapes.append(rows.shape)
+        return block_qr(rows)
+
+    monkeypatch.setattr(matcore, "block_qr", recording)
+    spacetime.nearly_kgmd(mats, 8)
+    at_twice = shapes.copy()
+    shapes.clear()
+    fac = spacetime.nearly_kgmd(mats, 1024)
+    assert fac.kept_dim == 2 * (1024 - 3)
+    assert shapes == at_twice
+    assert max(s[-3] for s in shapes) <= 8
 
 
 def test_nearly_kgmd_peak_memory_is_its_result():

@@ -245,12 +245,25 @@ def block_rows(a, n, width):
 
 
 def from_block_rows(rows):
-    """The square matrix held as the (G, n, W) block rows ``rows``."""
-    g, n, width = rows.shape
-    out = np.zeros((g * n, g * n), dtype=np.complex128)
+    """The (..., nG, nG) matrices held as the (..., G, n, W) block rows
+    ``rows``, cut at the last column."""
+    *stack, g, n, width = rows.shape
+    out = np.zeros((*stack, g * n, g * n), dtype=np.complex128)
     for j in range(g):
-        cols = out[j * n:(j + 1) * n, j * n:j * n + width]
-        cols[:] = rows[j, :, :cols.shape[1]]
+        cols = out[..., j * n:(j + 1) * n, j * n:j * n + width]
+        cols[...] = rows[..., j, :, :cols.shape[-1]]
+    return out
+
+
+def from_column_blocks(blocks, offsets, rows):
+    """The (..., rows, nG) matrices held as the (..., G, H, n) column
+    blocks ``blocks``: block j holds rows offsets[j] .. offsets[j] + H - 1
+    of columns nj .. nj + n - 1, cut at the last row."""
+    *stack, g, height, n = blocks.shape
+    out = np.zeros((*stack, rows, n * g), dtype=np.complex128)
+    for j in range(g):
+        part = out[..., offsets[j]:offsets[j] + height, j * n:(j + 1) * n]
+        part[...] = blocks[..., j, :part.shape[-2], :]
     return out
 
 
