@@ -112,14 +112,19 @@ def _emit(args, obj):
         sys.stdout.writelines(parts)
 
 
-def _tolerance(text):
-    """--tol's bound: NaN would pass every run and -1 fail every one."""
-    try:
-        if float(text) >= 0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("needs a number >= 0, got %r" % text)
+def _flag(kind, ok, need):
+    """An argparse type: the flag's text read as ``kind`` and kept when
+    ``ok`` holds for it; anything else is a usage error (exit 2) saying
+    that the flag needs ``need``."""
+    def read(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("needs %s, got %r" % (need, text))
+    return read
 
 
 def _check_tol(args, residuals):
@@ -305,6 +310,8 @@ def _cmd_examples(args):
             gains = [float(x) for x in args.gains.split(",")] if args.gains else [1.0, 2.0]
         except ValueError as exc:
             raise ParseError("--gains needs comma-separated numbers") from exc
+        if not all(0 < g <= sys.float_info.max for g in gains):
+            raise ParseError("--gains needs finite numbers > 0")
         channels = multicast.permuted_channels(gains)
         cov = np.eye(len(gains), dtype=complex)
         prob = multicast.MulticastProblem(users=channels, cov=cov,
@@ -410,7 +417,8 @@ def build_parser():
     p = sub.add_parser("decompose", help="single- or multi-matrix decompositions")
     p.add_argument("--kind", required=True,
                    choices=("gtd", "gmd", "jet", "kgmd", "upper-lower", "block"))
-    p.add_argument("--tol", type=_tolerance, default=None,
+    # NaN would pass every run and -1 fail every one
+    p.add_argument("--tol", type=_flag(float, lambda x: x >= 0, "a number >= 0"), default=None,
                    help="fail the run (exit 4) when a residual exceeds this bound")
     add_io(p)
     p.set_defaults(func=_cmd_decompose)
@@ -429,15 +437,18 @@ def build_parser():
     p = sub.add_parser("examples", help="worked channel families")
     p.add_argument("--name", required=True,
                    choices=("rateless2", "rateless3", "permuted", "dof2", "dof3"))
-    p.add_argument("--rate", type=float, default=4.0)
+    p.add_argument("--rate", type=_flag(float, lambda x: 0 < x <= sys.float_info.max,
+                                        "a finite number > 0"), default=4.0)
     p.add_argument("--gains", help="comma-separated gains for permuted")
     add_io(p, needs_input=False)
     p.set_defaults(func=_cmd_examples)
 
     p = sub.add_parser("simulate", help="successive-cancellation link simulation")
     p.add_argument("--factors", choices=("gmd", "svd", "jet"), default="gmd")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=_flag(int, lambda s: 0 <= s < 2 ** 128,
+                                        "an integer in [0, 2^128)"), default=0)
+    p.add_argument("--trials", type=_flag(int, lambda t: t >= 1, "an integer >= 1"),
+                   default=100000)
     add_io(p)
     p.set_defaults(func=_cmd_simulate)
 

@@ -1,11 +1,22 @@
 """Exception hierarchy for jtri.
 
-Four categories matter to callers (and to the CLI exit-code map):
+Every error raised is a JtriError of one of four categories, which callers
+catch and the CLI maps to its exit codes; the message says which check failed:
 
-  ParseError       -- malformed input (exit 2)
-  InfeasibleError  -- a requested decomposition provably does not exist (exit 3)
-  NumericalError   -- the input defeats the algorithm numerically (exit 4)
-  DimensionError   -- shape / index / validation problems (exit 5)
+  ParseError       -- malformed JSON, matrix object, payload field or flag (exit 2)
+  InfeasibleError  -- the requested decomposition provably does not exist: an
+                      existence condition fails, too few time extensions, an
+                      unreachable capacity fraction (exit 3)
+  NumericalError   -- the input defeats the algorithm numerically: a singular or
+                      rank-deficient matrix, no convergence, a covariance that is
+                      not Hermitian PSD, a non-finite result (exit 4)
+  DimensionError   -- a shape, size, index or precondition problem: mismatched
+                      sizes, a non-finite or non-positive entry, |det| off (exit 5)
+
+Three infeasible cases carry more: MajorizationError (``failing_prefix``) and
+BlockConditionError (``failing_q``) name the first failing group of a gtd or
+block_gtd target, and NotConstructibleError says that no exact joint
+decomposition is known for the input, so the caller falls back to time extension.
 """
 
 
@@ -28,35 +39,6 @@ class NumericalError(JtriError):
 class DimensionError(JtriError):
     """Dimension, index or precondition violation."""
 
-
-# --- numerical -------------------------------------------------------------
-
-class SingularMatrixError(NumericalError):
-    """Matrix is singular (or numerically so) where invertibility is required."""
-
-
-class RankDeficientError(NumericalError):
-    """Columns are linearly dependent; QR cannot proceed."""
-
-
-class NoConvergenceError(NumericalError):
-    """Iterative kernel exceeded its iteration budget."""
-
-
-class NotHermitianError(NumericalError):
-    """Matrix expected to be Hermitian is not."""
-
-
-class NotPsdError(NumericalError):
-    """Matrix expected to be positive semidefinite is not."""
-
-
-class NotBlockTriangularError(NumericalError):
-    """Matrix expected to be block upper triangular has a nonzero entry
-    below its diagonal blocks."""
-
-
-# --- infeasible ------------------------------------------------------------
 
 class MajorizationError(InfeasibleError):
     """Target diagonal is not multiplicatively majorized by the singular values.
@@ -81,71 +63,5 @@ class BlockConditionError(InfeasibleError):
         self.failing_q = failing_q
 
 
-class ConditionViolatedError(InfeasibleError):
-    """Existence condition for the requested joint decomposition fails."""
-
-
 class NotConstructibleError(InfeasibleError):
     """No exact joint decomposition is available; fall back to time extension."""
-
-
-class TooFewExtensionsError(InfeasibleError):
-    """Number of time extensions is below the construction's requirement."""
-
-
-class UnachievableFractionError(InfeasibleError):
-    """Requested capacity fraction cannot be met by any finite extension."""
-
-
-# --- dimension / validation -------------------------------------------------
-
-class NotSquareError(DimensionError):
-    pass
-
-
-class ShapeMismatchError(DimensionError):
-    pass
-
-
-class DimensionMismatchError(DimensionError):
-    pass
-
-
-class LengthMismatchError(DimensionError):
-    pass
-
-
-class IndexOutOfRangeError(DimensionError):
-    pass
-
-
-class DuplicateIndexError(DimensionError):
-    pass
-
-
-class NonPositiveEntryError(DimensionError):
-    pass
-
-
-class NotFiniteError(DimensionError):
-    """Matrix entries must be finite."""
-
-
-class BadDeterminantError(DimensionError):
-    """Determinant magnitude does not satisfy the operation's precondition."""
-
-
-class DiagBelowOneError(DimensionError):
-    """A scheme diagonal entry is below one; its SNR would be negative."""
-
-
-class TooManyUsersError(DimensionError):
-    """Factorial enumeration guard tripped."""
-
-
-class BadKError(DimensionError):
-    """Closed-form precoder only exists for the supported user counts."""
-
-
-class FormMismatchError(DimensionError):
-    """Unitary factor is not in the reflection form required for embedding."""

@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import (
-    BlockConditionError,
-    LengthMismatchError,
-    MajorizationError,
-    NonPositiveEntryError,
-    ShapeMismatchError,
-    SingularMatrixError,
-)
+from .errors import BlockConditionError, DimensionError, MajorizationError, NumericalError
 
 
 @dataclass
@@ -66,7 +59,7 @@ def _check_square_invertible(a):
     (m,), _n = matcore.check_square_set([a])
     fac = matcore.svd(m)
     if fac.sigma[-1] <= matcore.TOL_RANK * fac.sigma[0]:
-        raise SingularMatrixError("matrix is singular to working precision")
+        raise NumericalError("matrix is singular to working precision")
     return m, fac
 
 
@@ -175,15 +168,15 @@ def gtd(a, target_diag):
 
     Raises MajorizationError (with the first failing prefix length) when
     sigma(a) does not multiplicatively majorize the target, and
-    SingularMatrixError for singular input.
+    NumericalError for singular input.
     """
     m, fac = _check_square_invertible(a)
     n = m.shape[0]
     target = np.asarray(target_diag, dtype=float)
     if target.ndim != 1 or target.size != n:
-        raise LengthMismatchError("target diagonal must have %d entries" % n)
+        raise DimensionError("target diagonal must have %d entries" % n)
     if np.any(target <= 0):
-        raise NonPositiveEntryError("target diagonal must be positive")
+        raise DimensionError("target diagonal must be positive")
     bad = matcore.first_failing_group(fac.sigma, np.log(target))
     if bad is not None:
         raise MajorizationError(
@@ -215,16 +208,16 @@ def check_multiplicity_conditions(sigma, values, mults):
     vals = np.asarray(values, dtype=float)
     counts = np.asarray(mults, dtype=int)
     if vals.size != counts.size:
-        raise ShapeMismatchError("values and mults must pair up")
+        raise DimensionError("values and mults must pair up")
     if counts.sum() != sig.size:
-        raise ShapeMismatchError(
+        raise DimensionError(
             "multiplicities sum to %d, sigma has %d entries" % (counts.sum(), sig.size))
     if np.any(vals <= 0) or np.any(sig <= 0):
-        raise NonPositiveEntryError("sigma and values must be positive")
+        raise DimensionError("sigma and values must be positive")
     if np.any(np.diff(vals) >= 0):
-        raise ShapeMismatchError("values must be strictly decreasing")
+        raise DimensionError("values must be strictly decreasing")
     if np.any(counts <= 0):
-        raise ShapeMismatchError("multiplicities must be positive")
+        raise DimensionError("multiplicities must be positive")
     return matcore.first_failing_group(sig, counts * np.log(vals), counts) is None
 
 
@@ -234,9 +227,9 @@ def check_blocks(block_sizes, values, n, what):
     sizes = [int(s) for s in block_sizes]
     values = [complex(x) for x in values]
     if len(sizes) != len(values):
-        raise ShapeMismatchError("one %s per block" % what)
+        raise DimensionError("one %s per block" % what)
     if any(s <= 0 for s in sizes) or sum(sizes) != n:
-        raise ShapeMismatchError("block sizes must be positive and sum to %d" % n)
+        raise DimensionError("block sizes must be positive and sum to %d" % n)
     return sizes, values
 
 
@@ -252,7 +245,7 @@ def block_gtd(a, spec):
     sizes, dets = check_blocks(spec.block_sizes, spec.block_dets, m.shape[0],
                                "determinant target")
     if any(abs(d) == 0 for d in dets):
-        raise ShapeMismatchError("block determinants must be nonzero")
+        raise DimensionError("block determinants must be nonzero")
     # feasibility, stated on the blocks sorted by their determinant root
     bad = matcore.first_failing_group(fac.sigma, np.log(np.abs(dets)), sizes)
     if bad == len(sizes):

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import (
-    BadDeterminantError,
-    ConditionViolatedError,
-    NotConstructibleError,
-    NotHermitianError,
-    ShapeMismatchError,
-    SingularMatrixError,
-)
+from .errors import DimensionError, InfeasibleError, NotConstructibleError, NumericalError
 from .gtd import check_blocks, gmd
 
 
@@ -75,7 +68,7 @@ def normalize_equal_det(matrices):
     for m in mats:
         log_d = np.linalg.slogdet(m)[1]     # log|det|, -inf when singular
         if not np.isfinite(log_d):
-            raise SingularMatrixError("cannot normalize a singular matrix")
+            raise NumericalError("cannot normalize a singular matrix")
         f = float(np.exp(log_d / n))
         factors.append(f)
         scaled.append(m / f)
@@ -91,17 +84,17 @@ def _check_absdet(mats, unit=False):
     bound = (10 * mats[0].shape[0] + 1) * matcore.TOL_MAJOR
     off = max(abs(x) for x in logs) if unit else max(logs) - min(logs)
     if not off <= bound:
-        raise BadDeterminantError("matrices must have %s |det| (log|det| off by %.3g)"
+        raise DimensionError("matrices must have %s |det| (log|det| off by %.3g)"
                                   % ("unit" if unit else "equal", off))
 
 
 def _hermitian_2x2_or_raise(s):
     m = matcore.as_cmatrix(s)
     if m.shape != (2, 2):
-        raise ShapeMismatchError("expected a 2x2 matrix")
+        raise DimensionError("expected a 2x2 matrix")
     scale = np.max(np.abs(m)) + 1.0
     if np.max(np.abs(m - m.conj().T)) > matcore.TOL_ZERO * scale:
-        raise NotHermitianError("matrix is not Hermitian")
+        raise NumericalError("matrix is not Hermitian")
     return 0.5 * (m + m.conj().T)
 
 
@@ -147,10 +140,10 @@ def common_null_witness(*forms):
     leaves the phase free while another fixes it.  Both roots are tried in
     turn; the first one that nulls every form within TOL_ZERO (all forms
     scaled by their largest norm where that exceeds 1) is returned.
-    Otherwise raises ConditionViolatedError.
+    Otherwise raises InfeasibleError.
     """
     if len(forms) < 2:
-        raise ShapeMismatchError("need at least two forms")
+        raise DimensionError("need at least two forms")
     hs = [_hermitian_2x2_or_raise(s) for s in forms]
     scale = max(1.0, max(np.linalg.norm(h) for h in hs))
     gs = [h / scale for h in hs]
@@ -170,7 +163,7 @@ def common_null_witness(*forms):
         v = q @ np.array([cos_t, phase * sin_t])
         if all(abs(v.conj() @ g @ v) <= matcore.TOL_ZERO for g in gs):
             return v
-    raise ConditionViolatedError("no common null vector of the %d forms" % len(gs))
+    raise InfeasibleError("no common null vector of the %d forms" % len(gs))
 
 
 # --- 2x2 joint decompositions -------------------------------------------------
@@ -180,7 +173,7 @@ def _check_unit_det_pair(a1, a2):
     m1 = matcore.as_cmatrix(a1)
     m2 = matcore.as_cmatrix(a2)
     if m1.shape != (2, 2) or m2.shape != (2, 2):
-        raise ShapeMismatchError("expected 2x2 matrices")
+        raise DimensionError("expected 2x2 matrices")
     _check_absdet([m1, m2], unit=True)
     return m1, m2
 
@@ -271,7 +264,7 @@ def _kgmd_exact_core(mats, n):
                 "F1 = %.6g < 0" % f1_val)
         try:
             v1 = common_null_witness(*[m.conj().T @ m - np.eye(2) for m in mats])
-        except ConditionViolatedError as exc:
+        except InfeasibleError as exc:
             raise NotConstructibleError(str(exc)) from exc
         return _finish_joint_from_v1(mats, v1)
     raise NotConstructibleError(
@@ -287,13 +280,13 @@ def kgmd_to_kjet(matrices):
     """
     mats, n = matcore.check_square_set(matrices)
     if len(mats) < 2:
-        raise ShapeMismatchError("need at least two matrices")
+        raise DimensionError("need at least two matrices")
     _check_absdet(mats)
     last = mats[-1]
     try:
         last_inv = np.linalg.inv(last)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("last matrix is singular") from exc
+        raise NumericalError("last matrix is singular") from exc
     core = _kgmd_exact_core([m @ last_inv for m in mats[:-1]], n)
     u_last = core.v
     fac = matcore.qr(last_inv @ u_last)
@@ -322,13 +315,13 @@ def construct_upper_lower(a1, a2):
     Returns (v, u1, r1_upper, u2, r2_lower).  The first column of V makes
     A1 v1 unit-norm (upper route); its reflected partner makes A2 v2
     unit-norm, which is exactly the lower-triangular condition.  Raises
-    ConditionViolatedError naming the F2 value when the pair fails the
+    InfeasibleError naming the F2 value when the pair fails the
     F2 test.
     """
     m1, m2 = _check_unit_det_pair(a1, a2)
     f2_val, holds = _pair_condition(m1, m2, upper_lower=True)
     if not holds:
-        raise ConditionViolatedError(
+        raise InfeasibleError(
             "mixed-orientation decomposition does not exist: F2 = %.6g < 0" % f2_val)
     s1 = m1.conj().T @ m1 - np.eye(2)
     s2 = matcore.adjugate(m2.conj().T @ m2 - np.eye(2))
@@ -355,10 +348,10 @@ def joint_block_feasible(a1, a2, block_sizes, det_ratios):
     try:
         quotient = m1 @ np.linalg.inv(m2)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("second matrix is singular") from exc
+        raise NumericalError("second matrix is singular") from exc
     mu = matcore.svd(quotient).sigma
     if mu[-1] <= 0:
-        raise SingularMatrixError("first matrix is singular")
+        raise NumericalError("first matrix is singular")
     if any(abs(x) == 0 for x in ratios):
         return False
     return matcore.first_failing_group(mu, np.log(np.abs(ratios)), sizes) is None

@@ -17,19 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    DuplicateIndexError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NonPositiveEntryError,
-    NotFiniteError,
-    NotSquareError,
-    NoConvergenceError,
-    NumericalError,
-    ParseError,
-    RankDeficientError,
-    ShapeMismatchError,
-)
+from .errors import DimensionError, NumericalError, ParseError
 
 # Shared tolerances (absolute on unit-scaled data unless noted).
 TOL_ZERO = 1e-9
@@ -41,9 +29,9 @@ def as_cmatrix(a):
     """Coerce to a finite complex128 2-D array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
-        raise LengthMismatchError("expected a 2-D matrix, got ndim=%d" % m.ndim)
+        raise DimensionError("expected a 2-D matrix, got ndim=%d" % m.ndim)
     if not np.all(np.isfinite(m)):
-        raise NotFiniteError("matrix contains non-finite entries")
+        raise DimensionError("matrix contains non-finite entries")
     return m
 
 
@@ -52,14 +40,14 @@ def check_square_set(mats):
     there must be one or more, each square, nonempty and of one size."""
     out = [as_cmatrix(a) for a in mats]
     if not out:
-        raise ShapeMismatchError("need at least one matrix")
+        raise DimensionError("need at least one matrix")
     for m in out:
         if m.shape[0] != m.shape[1]:
-            raise NotSquareError("need square matrices, got %d x %d" % m.shape)
+            raise DimensionError("need square matrices, got %d x %d" % m.shape)
         if m.shape[0] == 0:
-            raise ShapeMismatchError("need nonempty matrices")
+            raise DimensionError("need nonempty matrices")
         if m.shape != out[0].shape:
-            raise ShapeMismatchError("all matrices must share one size")
+            raise DimensionError("all matrices must share one size")
     return out, out[0].shape[0]
 
 
@@ -83,7 +71,7 @@ def _positive_diagonal(q, r, scale):
     columns, leaving it real and positive, with exact zeros below it."""
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     if np.any(np.abs(diag) <= TOL_RANK * scale):
-        raise RankDeficientError("column residual below %g of the input norm" % TOL_RANK)
+        raise NumericalError("column residual below %g of the input norm" % TOL_RANK)
     phases = diag / np.abs(diag)
     q = q * phases[..., np.newaxis, :]
     r = phases.conj()[..., :, np.newaxis] * r
@@ -105,7 +93,7 @@ def qr(a):
     m = as_cmatrix(a)
     rows, cols = m.shape
     if cols > rows:
-        raise RankDeficientError("more columns (%d) than rows (%d)" % (cols, rows))
+        raise NumericalError("more columns (%d) than rows (%d)" % (cols, rows))
     q, r = np.linalg.qr(m, mode="reduced")
     q, r = _positive_diagonal(q, r, np.linalg.norm(m))
     return QrFactors(q=q, r=r)
@@ -128,10 +116,10 @@ def block_qr(rows):
     """
     m = np.asarray(rows, dtype=np.complex128)
     if m.ndim < 3 or m.shape[-1] < m.shape[-2]:
-        raise LengthMismatchError("block rows of shape %s do not hold their diagonal blocks"
+        raise DimensionError("block rows of shape %s do not hold their diagonal blocks"
                                   % (m.shape,))
     if not np.all(np.isfinite(m)):
-        raise NotFiniteError("matrix contains non-finite entries")
+        raise DimensionError("matrix contains non-finite entries")
     n = m.shape[-2]
     q, r_diag = np.linalg.qr(m[..., :n])
     scale = np.linalg.norm(m.reshape(*m.shape[:-3], -1), axis=-1)
@@ -147,16 +135,16 @@ def svd(a):
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return SvdFactors(u=u, sigma=s, v=vh.conj().T)
 
 
 def adjugate(a):
     """Adjugate of a 2x2 matrix, [[d, -b], [-c, a]]: polynomial in the
     entries, so it is well defined for singular input.  Any other shape
-    raises ShapeMismatchError."""
+    raises DimensionError."""
     if np.shape(a) != (2, 2):
-        raise ShapeMismatchError("adjugate needs a 2x2 matrix, got shape %s" % (np.shape(a),))
+        raise DimensionError("adjugate needs a 2x2 matrix, got shape %s" % (np.shape(a),))
     m = as_cmatrix(a)
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
@@ -170,7 +158,7 @@ def time_extend(a, n_ext):
     """
     m = as_cmatrix(a)
     if n_ext < 1:
-        raise LengthMismatchError("n_ext must be >= 1")
+        raise DimensionError("n_ext must be >= 1")
     rows, cols = m.shape
     out = np.zeros((n_ext, rows, n_ext, cols), dtype=np.complex128)
     idx = np.arange(n_ext)
@@ -185,9 +173,9 @@ def positions(n, indices):
     seen = set()
     for i in idx:
         if not 1 <= i <= n:
-            raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
+            raise DimensionError("index %r outside 1..%d" % (i, n))
         if i in seen:
-            raise DuplicateIndexError("index %r listed twice" % (i,))
+            raise DimensionError("index %r listed twice" % (i,))
         seen.add(i)
     return np.array(idx, dtype=np.int64) - 1
 
@@ -227,11 +215,11 @@ def majorizes(x, y):
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.ndim != 1 or yv.ndim != 1 or xv.size != yv.size:
-        raise LengthMismatchError("majorizes needs two equal-length vectors")
+        raise DimensionError("majorizes needs two equal-length vectors")
     if xv.size == 0:
         return True
     if np.any(xv <= 0) or np.any(yv <= 0):
-        raise NonPositiveEntryError("majorization is defined for positive vectors")
+        raise DimensionError("majorization is defined for positive vectors")
     return first_failing_group(xv, np.log(yv)) is None
 
 
@@ -348,7 +336,7 @@ def dumps(obj):
             raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
         m = np.asarray(o, dtype=np.complex128)
         if m.ndim != 2:
-            raise LengthMismatchError("expected a 2-D matrix, got ndim=%d" % m.ndim)
+            raise DimensionError("expected a 2-D matrix, got ndim=%d" % m.ndim)
         # the runs are joined once _runs has returned, and its arrays are
         # freed; head, runs and tail stay apart so the text is not copied
         matrices.append(('{"cols":%d,"data":[' % m.shape[1], "".join(_runs(m)),

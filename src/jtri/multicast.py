@@ -13,19 +13,13 @@ given explicitly.
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .errors import (
-    BadKError,
-    DiagBelowOneError,
-    DimensionMismatchError,
-    NotPsdError,
-    ShapeMismatchError,
-    TooManyUsersError,
-)
+from .errors import DimensionError, NumericalError
 
 
 @dataclass
@@ -40,14 +34,14 @@ class MulticastProblem:
         self.cov = matcore.as_cmatrix(self.cov)
         n_t = self.cov.shape[0]
         if self.cov.shape != (n_t, n_t):
-            raise ShapeMismatchError("covariance must be square")
+            raise DimensionError("covariance must be square")
         for h in self.users:
             if h.shape[1] != n_t:
-                raise ShapeMismatchError(
+                raise DimensionError(
                     "user channel has %d columns, covariance is %d-dim"
                     % (h.shape[1], n_t))
         if np.trace(self.cov).real > self.power + matcore.TOL_ZERO:
-            raise ShapeMismatchError("trace of covariance exceeds the power budget")
+            raise DimensionError("trace of covariance exceeds the power budget")
 
 
 @dataclass
@@ -71,10 +65,10 @@ def _check_psd(cov):
     c = matcore.as_cmatrix(cov)
     scale = np.max(np.abs(c)) + 1.0
     if np.max(np.abs(c - c.conj().T)) > matcore.TOL_ZERO * scale:
-        raise NotPsdError("covariance is not Hermitian")
+        raise NumericalError("covariance is not Hermitian")
     w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     if w[0] < -matcore.TOL_ZERO * scale:
-        raise NotPsdError("covariance has a negative eigenvalue %.3g" % w[0])
+        raise NumericalError("covariance has a negative eigenvalue %.3g" % w[0])
     return 0.5 * (c + c.conj().T)
 
 
@@ -83,7 +77,7 @@ def mutual_info(h, cov):
     hm = matcore.as_cmatrix(h)
     c = _check_psd(cov)
     if hm.shape[1] != c.shape[0]:
-        raise DimensionMismatchError("channel/covariance size mismatch")
+        raise DimensionError("channel/covariance size mismatch")
     gram = np.eye(hm.shape[0]) + hm @ c @ hm.conj().T
     sign, logdet = np.linalg.slogdet(gram)
     return float(max(logdet, 0.0) / np.log(2.0))
@@ -106,7 +100,7 @@ def cov_sqrt(cov):
     for j in range(n):
         pivot = work[j, j].real
         if pivot < -matcore.TOL_ZERO * scale:
-            raise NotPsdError("negative pivot in Cholesky factorization")
+            raise NumericalError("negative pivot in Cholesky factorization")
         if pivot <= 1e-14 * scale:
             continue
         root = np.sqrt(pivot)
@@ -130,7 +124,7 @@ def _augmented_qr(h, cov):
     hm = matcore.as_cmatrix(h)
     c = _check_psd(cov)
     if hm.shape[1] != c.shape[0]:
-        raise DimensionMismatchError("channel/covariance size mismatch")
+        raise DimensionError("channel/covariance size mismatch")
     n_t = c.shape[0]
     aug = np.vstack([hm @ cov_sqrt(c), np.eye(n_t)])
     return matcore.qr(aug)
@@ -141,7 +135,7 @@ def scheme_rates(diag, n_ext=1):
     normalized per channel use of the extension."""
     d = np.asarray(diag, dtype=float)
     if np.any(d < 1.0 - matcore.TOL_ZERO):
-        raise DiagBelowOneError("scheme diagonal entries must be >= 1")
+        raise DimensionError("scheme diagonal entries must be >= 1")
     d = np.maximum(d, 1.0)
     snr = d * d - 1.0
     rate = 2.0 * np.log2(d)
@@ -192,9 +186,9 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
     closed form |S_jj|^2 / (sum_{i<j} |S_ji|^2 + ||front_j||^2).
     """
     if trials < 1:
-        raise DimensionMismatchError("trials must be positive")
+        raise DimensionError("trials must be positive")
     if len(factors.users) != len(problem.users):
-        raise DimensionMismatchError("one factor pair per user required")
+        raise DimensionError("one factor pair per user required")
     v = factors.v
     m_streams = v.shape[1]
     links, predicted = [], []
@@ -206,7 +200,7 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
             q1 = matcore.time_extend(q1, factors.n_ext)
             g = matcore.time_extend(g, factors.n_ext)
         if u.shape[0] != g.shape[0] or v.shape[0] != g.shape[0]:
-            raise DimensionMismatchError("factor height differs from extended n_t")
+            raise DimensionError("factor height differs from extended n_t")
         front = u.conj().T @ q1.conj().T          # m x (n_r * n_ext)
         signal = front @ (q1 @ (g @ v))           # m x m effective matrix
         predicted.append(np.abs(np.diag(u.conj().T @ (g @ v))) ** 2 - 1.0)
@@ -247,17 +241,28 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
 # --- worked channel families --------------------------------------------------
 
 
+@contextmanager
+def _rate_in_range(rate):
+    """A float overflow of 2^rate, or of a power of it, as NumericalError
+    naming ``rate``."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise NumericalError("rate %r is too large: 2^rate overflows a float" % rate) from exc
+
+
 def rateless_channels(k_rates, total_rate):
     """Channel family for incremental-redundancy coding: user k keeps the
     first k of K unit blocks with gain alpha_k = sqrt(2^(C/k) - 1), so
     every user's white-input mutual information equals C."""
     if k_rates < 1:
-        raise ShapeMismatchError("k_rates must be >= 1")
+        raise DimensionError("k_rates must be >= 1")
     if not total_rate > 0:
-        raise ShapeMismatchError("total rate must be positive")
+        raise DimensionError("total rate must be positive")
     out = []
     for k in range(1, k_rates + 1):
-        alpha = np.sqrt(2.0 ** (total_rate / k) - 1.0)
+        with _rate_in_range(total_rate):
+            alpha = np.sqrt(2.0 ** (total_rate / k) - 1.0)
         h = np.zeros((k, k_rates), dtype=np.complex128)
         h[:, :k] = alpha * np.eye(k)
         out.append(h)
@@ -269,9 +274,10 @@ def rateless3_reduce(total_rate):
     eliminating the common first precoder column; both outputs have unit
     determinant and the second is diag(b, 1/b) with b = 2^(C/12)."""
     if not total_rate > 0:
-        raise ShapeMismatchError("total rate must be positive")
-    b = 2.0 ** (total_rate / 12.0)
-    b2, b4, b6, b8 = b ** 2, b ** 4, b ** 6, b ** 8
+        raise DimensionError("total rate must be positive")
+    with _rate_in_range(total_rate):
+        b = 2.0 ** (total_rate / 12.0)
+        b2, b4, b6, b8 = b ** 2, b ** 4, b ** 6, b ** 8
     core = np.sqrt(1.0 - b2 + b8)
     a1 = np.array([
         [core / b2, (b6 - 1.0) / (b * np.sqrt((1.0 - b2 + b8) * (1.0 + b2 + b4)))],
@@ -285,11 +291,11 @@ def permuted_channels(gains):
     """All K! diagonal channels obtained by permuting the given gains."""
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size < 1:
-        raise ShapeMismatchError("gains must be a nonempty vector")
+        raise DimensionError("gains must be a nonempty vector")
     if np.any(g <= 0):
-        raise ShapeMismatchError("gains must be positive")
+        raise DimensionError("gains must be positive")
     if g.size > 4:
-        raise TooManyUsersError("factorial enumeration capped at 4 gains")
+        raise DimensionError("factorial enumeration capped at 4 gains")
     return [np.diag(np.asarray(p, dtype=np.complex128))
             for p in itertools.permutations(g)]
 
@@ -306,7 +312,7 @@ def dft_precoder(k):
             [1.0, e, 1.0 / e],
             [1.0, 1.0 / e, e],
         ]) / np.sqrt(3.0)
-    raise BadKError("closed-form precoder available for k in {2, 3} only")
+    raise DimensionError("closed-form precoder available for k in {2, 3} only")
 
 
 @dataclass
@@ -325,10 +331,11 @@ def dof_mismatch_example(c_ptp, variant="two_user"):
     share the same white-input mutual information c_ptp (power fixed to 1,
     cov = I/2)."""
     if not c_ptp > 0:
-        raise ShapeMismatchError("c_ptp must be positive")
+        raise DimensionError("c_ptp must be positive")
     power = 1.0
     cov = np.eye(2, dtype=np.complex128) * (power / 2.0)
-    alpha_full = np.sqrt(2.0 * (2.0 ** c_ptp - 1.0))        # one active antenna
+    with _rate_in_range(c_ptp):
+        alpha_full = np.sqrt(2.0 * (2.0 ** c_ptp - 1.0))    # one active antenna
     alpha_wide = np.sqrt(2.0 * (2.0 ** (c_ptp / 2.0) - 1.0))  # both antennas
     root = 2.0 ** (c_ptp / 4.0)
     precoder = np.sqrt(1.0 / (2.0 ** (c_ptp / 2.0) + 1.0)) * np.array(
@@ -357,4 +364,4 @@ def dof_mismatch_example(c_ptp, variant="two_user"):
         return DofMismatchExample(problem=problem,
                                   gains=[alpha_wide, alpha_full, alpha_full],
                                   precoder=precoder, t_matrices=t_matrices)
-    raise ShapeMismatchError("variant must be 'two_user' or 'three_user'")
+    raise DimensionError("variant must be 'two_user' or 'three_user'")

@@ -42,13 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import matcore
-from .errors import (
-    FormMismatchError,
-    NotBlockTriangularError,
-    ShapeMismatchError,
-    TooFewExtensionsError,
-    UnachievableFractionError,
-)
+from .errors import DimensionError, InfeasibleError, NumericalError
 from .gtd import gmd
 from .joint import (
     JointFactors,
@@ -78,7 +72,7 @@ def _reorder_indices(n, n_users, n_ext, round_l):
 # The rounds keep every factor in banded storage, sized from the index maps
 # of the reorderings alone; slots that pass the edge of a matrix hold zeros.
 # v and the u_k are column blocks: a (..., G, H, n) stack whose block j holds
-# rows offsets[j] .. offsets[j] + H - 1 of columns nj .. nj + n - 1.  The
+# rows nj .. nj + H - 1 of columns nj .. nj + n - 1.  The
 # t_k are block rows: a (..., G, n, W) stack whose block row j holds rows
 # nj .. nj + n - 1 of columns nj .. nj + W - 1 (matcore.block_qr's layout).
 # The leading axis stacks the users, so a round makes the same numpy calls
@@ -91,22 +85,20 @@ def _gather(stack, src, outside):
     return out
 
 
-def _select_columns(offsets, pos, *stacks):
-    """Columns ``pos`` (0-based) of the column-block ``stacks``, which share
-    the first rows ``offsets``: returns the new first rows and the new
-    stacks.  A new block starts at the first row of the blocks its columns
-    come from and is as high as the widest span they cover."""
+def _select_columns(pos, *stacks):
+    """Columns ``pos`` (0-based) of the column-block ``stacks``, in the same
+    layout.  Group j of a reordering has its first column in block j and the
+    others further right, so new block j starts at row nj too, and is as
+    high as the widest span its columns cover."""
     height, n = stacks[0].shape[-2:]
     src_block, src_col = np.divmod(pos.reshape(-1, n), n)
-    first = offsets[src_block]
-    new_offsets = first.min(axis=1)
-    lift = first - new_offsets[:, np.newaxis]
+    lift = n * (src_block - np.arange(src_block.shape[0])[:, np.newaxis])
     # row r of new block j is row r - lift of the block its column comes from
     row = np.arange(lift.max() + height)[:, np.newaxis] - lift[:, np.newaxis, :]
     outside = (row < 0) | (row >= height)
     src = np.where(outside, 0, (src_block[:, np.newaxis, :] * height + row) * n
                    + src_col[:, np.newaxis, :])
-    return (new_offsets, *(_gather(s, src, outside) for s in stacks))
+    return tuple(_gather(s, src, outside) for s in stacks)
 
 
 def _select_rows(t, pos):
@@ -115,7 +107,7 @@ def _select_rows(t, pos):
     Each stored slot goes to its place in the new matrix, and the new rows
     are as wide as the furthest slot lies right of its diagonal block.  A
     nonzero entry that would land below the diagonal blocks raises
-    NotBlockTriangularError: the layout has no room for it, and it is never
+    NumericalError: the layout has no room for it, and it is never
     dropped.  For the first reordering none can: element q2 of group a sits
     at position n - q2 of original block a - 1 + (q2 - 1) * (delta + 1) / n,
     so a coupled pair in one block, row element q2 of group a and column
@@ -135,7 +127,7 @@ def _select_rows(t, pos):
     kept = (new_row >= 0) & (new_col >= 0)
     flat = t.reshape(*stack, -1)
     if np.any(flat[..., np.flatnonzero(kept & (gap < 0))]):
-        raise NotBlockTriangularError(
+        raise NumericalError(
             "the reordering moves a nonzero entry below the %d x %d diagonal blocks" % (n, n))
     slots = np.flatnonzero(kept & (gap >= 0))
     new_width = n * (int(gap.ravel()[slots].max()) // n + 1)
@@ -150,8 +142,8 @@ def _band_rounds(mats, n_ext, mode):
     or jet2 of those of users l and l + 1 (mode "jet", K - 1 rounds).  Each
     QR input is block upper triangular (_select_rows keeps its strict
     block-lower part zero), so its Q is block diagonal (matcore.block_qr).
-    Returns the first rows of the column blocks, v, the stacked u_k, the
-    stacked t_k and the kept 1-based coordinates."""
+    Returns v, the stacked u_k, the stacked t_k and the kept 1-based
+    coordinates."""
     rounds = len(mats) if mode == "gmd" else len(mats) - 1
     n = mats[0].shape[0]
 
@@ -162,7 +154,6 @@ def _band_rounds(mats, n_ext, mode):
     # diagonal: one n x n QR per user aligns everyone
     w = local_v(mats, 0)
     q, r = matcore.block_qr(np.stack(mats)[:, np.newaxis] @ w)
-    offsets = n * np.arange(n_ext)
     v = np.repeat(w[np.newaxis], n_ext, axis=0)
     u = np.repeat(q, n_ext, axis=1)
     t = np.repeat(r, n_ext, axis=1)
@@ -172,13 +163,13 @@ def _band_rounds(mats, n_ext, mode):
         groups = _reorder_indices(n, rounds, n_ext, round_l)
         pos = matcore.positions(coords.size, [i for g in groups for i in g])
         coords = coords[pos]
-        offsets, v, u = _select_columns(offsets, pos, v, u)
+        v, u = _select_columns(pos, v, u)
         t = _select_rows(t, pos)
         w = local_v(t[:, 0, :, :n], round_l - 1)
         q, t = matcore.block_qr((t.reshape(-1, n) @ w).reshape(t.shape))
         u = np.matmul(u, q)
         v = (v.reshape(-1, n) @ w).reshape(v.shape)
-    return offsets, v, u, t, coords
+    return v, u, t, coords
 
 
 def _block_toeplitz(block, n, rows, cols):
@@ -205,10 +196,10 @@ def _rounds(matrices, n_ext, mode):
     _check_absdet(mats, unit=mode == "gmd")
     n_ext = int(n_ext)
     if n_ext < min_ext:
-        raise TooFewExtensionsError(
+        raise InfeasibleError(
             "need at least %d extensions for %d users of size %d, got %d"
             % (min_ext, k_users, n, n_ext))
-    _, v, u, t, coords = _band_rounds(mats, min(n_ext, 2 * min_ext), mode)
+    v, u, t, coords = _band_rounds(mats, min(n_ext, 2 * min_ext), mode)
     kept = n * (n_ext - min_ext + 1)
     t_dense = _block_toeplitz(t[:, 0], n, kept, kept)
     kept_indices = coords[:n] + np.arange(0, kept, n)[:, np.newaxis]
@@ -258,10 +249,10 @@ def _reflection_parts(m):
     [[a+bi, c+di], [c-di, -a+bi]] into (a, b, c, d)."""
     w = matcore.as_cmatrix(m)
     if w.shape != (2, 2):
-        raise ShapeMismatchError("factors must be 2x2")
+        raise DimensionError("factors must be 2x2")
     if (abs(w[1, 0] - np.conj(w[0, 1])) > _REFLECTION_TOL
             or abs(w[1, 1] + np.conj(w[0, 0])) > _REFLECTION_TOL):
-        raise FormMismatchError("factor is not in reflection form")
+        raise DimensionError("factor is not in reflection form")
     return (float(w[0, 0].real), float(w[0, 0].imag),
             float(w[0, 1].real), float(w[0, 1].imag))
 
@@ -275,7 +266,7 @@ def rephase_to_reflection(u1, u2, v):
     """
     dets = [np.linalg.det(np.asarray(m)) for m in (u1, u2, v)]
     if max(abs(dets[0] - d) for d in dets) > _REFLECTION_TOL:
-        raise FormMismatchError("factor determinants disagree; cannot rephase jointly")
+        raise DimensionError("factor determinants disagree; cannot rephase jointly")
     phase = np.exp(0.5j * (np.pi - np.angle(dets[2])))
     return u1 * phase, u2 * phase, v * phase
 
@@ -296,9 +287,9 @@ def real_embedding_2gmd(a1, a2, u1, u2, v):
     for m in (a1, a2):
         mm = matcore.as_cmatrix(m)
         if mm.shape != (2, 2):
-            raise ShapeMismatchError("channel matrices must be 2x2")
+            raise DimensionError("channel matrices must be 2x2")
         if np.max(np.abs(mm.imag)) > _REFLECTION_TOL:
-            raise FormMismatchError("channel matrices must be real valued")
+            raise DimensionError("channel matrices must be real valued")
     out = []
     for m in (u1, u2, v):
         a, b, c, d = _reflection_parts(m)
@@ -321,9 +312,9 @@ def discarded_uses(n, k_users, mode="gmd"):
     extension is n^E, one more than the loss.
     """
     if mode not in ("gmd", "jet"):
-        raise ShapeMismatchError("mode must be 'gmd' or 'jet'")
+        raise DimensionError("mode must be 'gmd' or 'jet'")
     if k_users < 1 or (mode == "jet" and k_users < 2):
-        raise ShapeMismatchError("too few users for mode %r" % mode)
+        raise DimensionError("too few users for mode %r" % mode)
     return n ** (k_users - 1 if mode == "gmd" else k_users - 2) - 1
 
 
@@ -339,13 +330,13 @@ def required_extensions(fraction, n, k_users, mode="gmd"):
     try:
         frac = fraction if isinstance(fraction, Fraction) else Fraction(repr(float(fraction)))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UnachievableFractionError("fraction must be a finite number") from exc
+        raise InfeasibleError("fraction must be a finite number") from exc
     if not 0 < frac <= 1:
-        raise UnachievableFractionError("fraction must lie in (0, 1]")
+        raise InfeasibleError("fraction must lie in (0, 1]")
     if lost == 0:
         return 1
     if frac == 1:
-        raise UnachievableFractionError(
+        raise InfeasibleError(
             "fraction 1 needs unbounded extensions when coordinates are discarded")
     # (N - lost) / N >= fraction  <=>  N >= lost / (1 - fraction), in exact rationals
     return max(lost + 1, math.ceil(lost / (1 - frac)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import jtri
-from jtri import cli, matcore
+from jtri import cli, errors, matcore
 from util import per_entry_document, rand_complex, rand_unit_det
 
 
@@ -216,21 +216,85 @@ def test_simulate_power_must_be_a_number(power, capsys):
     assert out == "" and "parse error" in err
 
 
-def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
-    def exhausted(*args):
-        raise MemoryError
+def _error_classes(cls=errors.JtriError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
 
-    monkeypatch.setattr(cli.spacetime, "nearly_kgmd", exhausted)
-    code, out, err = run_cli(capsys, ["spacetime", "--extensions", "1000000"],
-                             {"matrices": [mat_json(np.eye(2))]})
-    assert code == cli.EXIT_NUMERICAL
-    assert out == "" and err == "error: out of memory\n"
+
+# each category's exit code and stderr label; JtriError itself and running
+# out of memory are numerical failures without a category of their own
+_CATEGORIES = [
+    (errors.ParseError, cli.EXIT_PARSE, "parse error"),
+    (errors.InfeasibleError, cli.EXIT_INFEASIBLE, "infeasible"),
+    (errors.NumericalError, cli.EXIT_NUMERICAL, "numerical failure"),
+    (errors.DimensionError, cli.EXIT_DIMENSION, "dimension error"),
+    (Exception, cli.EXIT_NUMERICAL, "error"),
+]
+
+
+@pytest.mark.parametrize("cls", _error_classes() + [MemoryError], ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_category(cls, capsys, monkeypatch):
+    defined = {c for c in vars(errors).values() if isinstance(c, type)}
+    assert set(_error_classes()) == defined
+    code, label = next((code, label) for base, code, label in _CATEGORIES
+                       if issubclass(cls, base))
+
+    def failing(*args):
+        raise cls("boom") if cls is not MemoryError else MemoryError
+
+    monkeypatch.setattr(cli.spacetime, "nearly_kgmd", failing)
+    got, out, err = run_cli(capsys, ["spacetime", "--extensions", "1000000"],
+                            {"matrices": [mat_json(np.eye(2))]})
+    message = "out of memory" if cls is MemoryError else "boom"
+    assert (got, out, err) == (code, "", "%s: %s\n" % (label, message))
 
 
 def test_simulate_users_must_be_a_nonempty_list(capsys):
     code, out, err = run_cli(capsys, ["simulate", "--trials", "100"], {"users": []})
     assert code == cli.EXIT_PARSE
     assert out == "" and "parse error" in err
+
+
+_FLAG_CASES = [
+    (["simulate", "--seed", "-1"], 2, "argument --seed: needs an integer in [0, 2^128)"),
+    (["simulate", "--seed", str(2 ** 128)], 2, "argument --seed: needs an integer in [0, 2^128)"),
+    (["simulate", "--trials", "0"], 2, "argument --trials: needs an integer >= 1"),
+    (["examples", "--name", "rateless2", "--rate", "1e6"], 4,
+     "numerical failure: rate 1000000.0 is too large: 2^rate overflows a float"),
+    (["examples", "--name", "rateless3", "--rate", "1e6"], 4,
+     "numerical failure: rate 1000000.0 is too large: 2^rate overflows a float"),
+    (["examples", "--name", "dof2", "--rate", "1e6"], 4,
+     "numerical failure: rate 1000000.0 is too large: 2^rate overflows a float"),
+    (["examples", "--name", "dof3", "--rate", "2000"], 4,
+     "numerical failure: rate 2000.0 is too large: 2^rate overflows a float"),
+    (["examples", "--name", "rateless2", "--rate", "nan"], 2,
+     "argument --rate: needs a finite number > 0"),
+    (["examples", "--name", "dof2", "--rate", "-1"], 2, "argument --rate: needs a finite number > 0"),
+    (["examples", "--name", "rateless3", "--rate", "0"], 2,
+     "argument --rate: needs a finite number > 0"),
+    (["examples", "--name", "permuted", "--gains", "1,-2"], 2,
+     "parse error: --gains needs finite numbers > 0"),
+    (["examples", "--name", "permuted", "--gains", "1,nan"], 2,
+     "parse error: --gains needs finite numbers > 0"),
+    (["examples", "--name", "permuted", "--gains", "1,inf"], 2,
+     "parse error: --gains needs finite numbers > 0"),
+]
+
+
+@pytest.mark.parametrize("args, code, line", _FLAG_CASES,
+                         ids=[" ".join(args) for args, _, _ in _FLAG_CASES])
+def test_numeric_flags_out_of_range_exit_with_their_category(args, code, line, capsys):
+    # a usage error exits 2 from argparse, with its usage text above the line
+    try:
+        got = cli.main(args + (["--inline", json.dumps({"users": [_H]})]
+                               if args[0] == "simulate" else []))
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    if line.startswith("argument"):
+        assert err.splitlines()[-1].endswith("error: %s, got %r" % (line, args[-1]))
+    else:
+        assert err == line + "\n"
 
 
 @pytest.mark.parametrize("gains", ["1,,2", "abc"])

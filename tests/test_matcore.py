@@ -6,18 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jtri import gtd, matcore, multicast
-from jtri.errors import (
-    DuplicateIndexError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NonPositiveEntryError,
-    NotFiniteError,
-    NumericalError,
-    ParseError,
-    RankDeficientError,
-    ShapeMismatchError,
-    SingularMatrixError,
-)
+from jtri.errors import DimensionError, NumericalError, ParseError
 from util import (
     block_rows,
     embed,
@@ -67,7 +56,7 @@ def test_qr_reconstruction_bound_up_to_32():
 
 def test_qr_rank_deficient():
     a = np.ones((3, 2), dtype=complex)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(NumericalError, match="column residual below"):
         matcore.qr(a)
 
 
@@ -75,11 +64,11 @@ def test_all_zero_and_tiny_inputs():
     # the rank, singularity and pivot thresholds scale with the input: an
     # all-zero input meets them (0 <= 0), a tiny nonzero one does not
     zero = np.zeros((2, 2))
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(NumericalError, match="column residual below"):
         matcore.qr(zero)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(NumericalError, match="column residual below"):
         matcore.block_qr(zero[np.newaxis])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NumericalError, match="singular to working precision"):
         gtd.gmd(zero)
     assert np.array_equal(multicast.cov_sqrt(zero), zero)
     rng = np.random.default_rng(22)
@@ -124,7 +113,7 @@ def test_adjugate_closed_forms():
     assert np.array_equal(adj, [[5.0 - 1j, -3.0], [-4.0, 1.0 + 2j]])
     assert np.array_equal(matcore.adjugate(np.eye(2)), np.eye(2))
     for shape in ((2, 3), (3, 3), (1, 1), (2,)):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionError, match="adjugate needs a 2x2 matrix"):
             matcore.adjugate(np.ones(shape))
 
 
@@ -157,9 +146,9 @@ def test_extraction_matrix():
     assert np.array_equal(e.real, expect)
     assert np.allclose(e.conj().T @ e, np.eye(3))
     assert np.array_equal(extraction_matrix(4, range(1, 5)).real, np.eye(4))
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(DimensionError, match="outside 1..3"):
         extraction_matrix(3, [0])
-    with pytest.raises(DuplicateIndexError):
+    with pytest.raises(DimensionError, match="listed twice"):
         extraction_matrix(3, [1, 1])
 
 
@@ -195,9 +184,9 @@ def test_embed_identity_and_unitarity():
 
 
 def test_embed_errors():
-    with pytest.raises(DuplicateIndexError):
+    with pytest.raises(DimensionError, match="appears in two groups"):
         embed(4, np.eye(2), [(1, 2), (2, 3)])
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(DimensionError, match="outside 1..4"):
         embed(4, np.eye(2), [(1, 5)])
 
 
@@ -214,9 +203,9 @@ def test_embed_extract_duality_bitexact():
 def test_majorizes_basics():
     assert matcore.majorizes([2.0, 0.5], [1.0, 1.0])
     assert not matcore.majorizes([1.0, 1.0], [2.0, 0.5])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionError, match="equal-length vectors"):
         matcore.majorizes([1.0], [1.0, 2.0])
-    with pytest.raises(NonPositiveEntryError):
+    with pytest.raises(DimensionError, match="positive vectors"):
         matcore.majorizes([1.0, -1.0], [1.0, 1.0])
 
 
@@ -284,7 +273,7 @@ def test_json_literal_nan_is_not_a_parse_error():
     # rejects it, while a null is a ParseError
     m = matcore.matrix_from_json(json.loads('{"rows":1,"cols":1,"data":[[NaN,0]]}'))
     assert np.isnan(m[0, 0].real)
-    with pytest.raises(NotFiniteError):
+    with pytest.raises(DimensionError, match="non-finite entries"):
         matcore.as_cmatrix(m)
 
 
@@ -520,7 +509,7 @@ def test_block_qr_rank_threshold_matches_qr():
         for factor in (matcore.qr, lambda m: matcore.block_qr(rows),
                        lambda m: matcore.block_qr(np.stack([louder, rows]))):
             if raises:
-                with pytest.raises(RankDeficientError):
+                with pytest.raises(NumericalError, match="column residual below"):
                     factor(a)
             else:
                 factor(a)
@@ -529,10 +518,10 @@ def test_block_qr_rank_threshold_matches_qr():
 def test_block_qr_needs_the_diagonal_blocks():
     rng = np.random.default_rng(21)
     rows = block_rows(_block_upper(rng, 3, 4), 3, 6)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionError, match="do not hold their diagonal blocks"):
         matcore.block_qr(rows[..., :2])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionError, match="do not hold their diagonal blocks"):
         matcore.block_qr(rows[0])
     rows[1, 2, 4] = np.nan
-    with pytest.raises(NotFiniteError):
+    with pytest.raises(DimensionError, match="non-finite entries"):
         matcore.block_qr(rows)

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from jtri import gtd, joint, matcore, multicast, spacetime
-from jtri.errors import (
-    BadKError,
-    DiagBelowOneError,
-    DimensionMismatchError,
-    NotPsdError,
-    ShapeMismatchError,
-    TooManyUsersError,
-)
+from jtri.errors import DimensionError, NumericalError
 from util import rand_complex, rand_unitary, sic_sinr
 
 
@@ -28,9 +21,9 @@ def test_mutual_info_zero_channel():
 
 
 def test_mutual_info_rejects_non_psd():
-    with pytest.raises(NotPsdError):
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
         multicast.mutual_info(np.eye(2), np.diag([1.0, -0.5]))
-    with pytest.raises(NotPsdError):
+    with pytest.raises(NumericalError, match="not Hermitian"):
         multicast.mutual_info(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -107,7 +100,7 @@ def test_cov_sqrt_psd_handling():
     c = np.diag([4.0, 0.0]).astype(complex)
     b = multicast.cov_sqrt(c)
     assert np.allclose(b @ b.conj().T, c)
-    with pytest.raises(NotPsdError):
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
         multicast.cov_sqrt(np.diag([1.0, -1.0]))
 
 
@@ -119,7 +112,7 @@ def test_scheme_rates():
     assert abs(r.total_rate - 4.0) < 1e-12
     r = multicast.scheme_rates([2.0, 2.0], n_ext=2)
     assert abs(r.total_rate - 2.0) < 1e-12
-    with pytest.raises(DiagBelowOneError):
+    with pytest.raises(DimensionError, match="must be >= 1"):
         multicast.scheme_rates([0.5, 2.0])
 
 
@@ -224,7 +217,7 @@ def test_simulate_sic_time_extension_factors(n_ext):
         # the first n streams border the discarded coordinates and may deviate
         gap = np.abs(r.measured_snr - r.predicted_snr)[fac.n:]
         assert np.all(gap <= 4.0 * r.std_error[fac.n:])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionError, match="one factor pair per user"):
         multicast.simulate_sic(white_problem(users[:2], power=2.0), fac, trials=10, seed=0)
 
 
@@ -347,9 +340,9 @@ def test_permuted_channels_enumeration():
     assert np.allclose(mats[0], np.diag([1.0, 2.0]))
     assert np.allclose(mats[1], np.diag([2.0, 1.0]))
     assert len(multicast.permuted_channels([1.0, 2.0, 3.0])) == 6
-    with pytest.raises(TooManyUsersError):
+    with pytest.raises(DimensionError, match="capped at 4 gains"):
         multicast.permuted_channels([1.0] * 5)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DimensionError, match="gains must be positive"):
         multicast.permuted_channels([1.0, -2.0])
 
 
@@ -361,7 +354,7 @@ def test_dft_precoder_forms():
     expect = np.array([[1, 1, 1], [1, e, e ** -1], [1, e ** -1, e]]) / np.sqrt(3.0)
     assert np.max(np.abs(v3 - expect)) < 1e-12
     assert np.max(np.abs(v3.conj().T @ v3 - np.eye(3))) < 1e-12
-    with pytest.raises(BadKError):
+    with pytest.raises(DimensionError, match="k in [{]2, 3[}] only"):
         multicast.dft_precoder(4)
 
 
@@ -415,7 +408,7 @@ def test_dof_mismatch_three_user():
 
 
 def test_problem_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DimensionError, match="exceeds the power budget"):
         multicast.MulticastProblem(users=[np.eye(2)], cov=np.eye(2), power=0.5)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DimensionError, match="user channel has 3 columns"):
         multicast.MulticastProblem(users=[np.eye(3)], cov=np.eye(2), power=5.0)

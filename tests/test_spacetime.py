@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jtri import joint, matcore, spacetime
-from jtri.errors import (
-    BadDeterminantError,
-    DuplicateIndexError,
-    FormMismatchError,
-    NotBlockTriangularError,
-    SingularMatrixError,
-    TooFewExtensionsError,
-    UnachievableFractionError,
-)
+from jtri.errors import DimensionError, InfeasibleError, NumericalError
 import test_golden as golden
 from util import (
     extended_gmd_residual,
@@ -96,11 +88,11 @@ def test_nearly_kgmd_larger_families():
 def test_nearly_kgmd_requires_enough_extensions():
     rng = np.random.default_rng(4)
     mats = [rand_unit_det(rng, 2) for _ in range(3)]
-    with pytest.raises(TooFewExtensionsError):
+    with pytest.raises(InfeasibleError, match="need at least 4 extensions"):
         spacetime.nearly_kgmd(mats, 3)
-    with pytest.raises(TooFewExtensionsError):
+    with pytest.raises(InfeasibleError, match="need at least 2 extensions"):
         spacetime.nearly_kjet(mats, 1)
-    with pytest.raises(BadDeterminantError):
+    with pytest.raises(DimensionError, match="unit [|]det[|]"):
         spacetime.nearly_kgmd([2.0 * rand_unit_det(rng, 2)], 1)
 
 
@@ -135,9 +127,9 @@ def test_spacetime_determinant_preconditions():
     spread = [mats[0], mats[1] * np.sqrt(1.0 + 1e-3), mats[2]]   # |det| spread 1e-3
     singular = [mats[0], np.diag([1.0, 0.0]), mats[2]]
     for bad in (spread, singular):
-        with pytest.raises(BadDeterminantError):
+        with pytest.raises(DimensionError, match="equal [|]det[|]"):
             spacetime.nearly_kjet(bad, 2)
-    with pytest.raises(BadDeterminantError):
+    with pytest.raises(DimensionError, match="unit [|]det[|]"):
         spacetime.nearly_kgmd(singular, 4)
 
 
@@ -306,7 +298,7 @@ def test_real_embedding_random_feasible_real_pair():
 
 def test_real_embedding_form_mismatch():
     bad = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)  # determinant +1
-    with pytest.raises(FormMismatchError):
+    with pytest.raises(DimensionError, match="not in reflection form"):
         spacetime.real_embedding_2gmd(np.eye(2), np.eye(2), bad, bad, bad)
 
 
@@ -327,9 +319,9 @@ def test_required_extensions_boundary_and_errors():
     # no discard cases need a single use
     assert spacetime.required_extensions(1.0, 2, 1, "gmd") == 1
     assert spacetime.required_extensions(0.9, 3, 2, "jet") == 1
-    with pytest.raises(UnachievableFractionError):
+    with pytest.raises(InfeasibleError, match="fraction 1 needs unbounded"):
         spacetime.required_extensions(1.0, 2, 3, "gmd")
-    with pytest.raises(UnachievableFractionError):
+    with pytest.raises(InfeasibleError, match=r"lie in \(0, 1\]"):
         spacetime.required_extensions(1.5, 2, 2, "gmd")
 
 
@@ -342,7 +334,7 @@ def test_required_extensions_exact_rationals():
     # a float is read as the decimal it prints as: 0.9 means 9/10
     assert spacetime.required_extensions(0.9, 2, 2, "gmd") == 10
     assert spacetime.required_extensions(Fraction(1, 3), 2, 3, "gmd") == 5
-    with pytest.raises(UnachievableFractionError):
+    with pytest.raises(InfeasibleError, match="must be a finite number"):
         spacetime.required_extensions(float("nan"), 2, 2, "gmd")
 
 
@@ -441,7 +433,7 @@ def test_nearly_kgmd_reorder_rejects_duplicate_index(monkeypatch):
         return groups
 
     monkeypatch.setattr(spacetime, "_reorder_indices", duplicating)
-    with pytest.raises(DuplicateIndexError):
+    with pytest.raises(DimensionError, match="listed twice"):
         spacetime.nearly_kgmd(mats, 8)
 
 
@@ -462,7 +454,7 @@ def test_nearly_kjet_ill_conditioned_families():
             ext = matcore.time_extend(a, 4)
             assert np.linalg.norm(u.conj().T @ ext @ fac.v - t) <= 1e-14 * np.linalg.norm(ext)
             assert np.max(np.abs(np.real(np.diag(t)) / fac.diag - 1.0)) <= 1e-6
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NumericalError, match="singular to working precision"):
         spacetime.nearly_kjet(family(np.random.default_rng(3), 1e7), 4)
 
 
@@ -523,11 +515,11 @@ def test_factors_are_the_band_rounds_at_n_itself(n, k_users, mode, n_ext):
     mats = [rand_unit_det(rng, n) for _ in range(k_users)]
     construct = spacetime.nearly_kgmd if mode == "gmd" else spacetime.nearly_kjet
     fac = construct(mats, n_ext)
-    offsets, v, u, t, coords = spacetime._band_rounds(mats, n_ext, mode)
+    v, u, t, coords = spacetime._band_rounds(mats, n_ext, mode)
     t_ref = from_block_rows(t)
-    assert np.array_equal(fac.v, from_column_blocks(v, offsets, n * n_ext))
+    assert np.array_equal(fac.v, from_column_blocks(v, n * n_ext))
     for (got_u, got_t), want_u, want_t in zip(
-            fac.users, from_column_blocks(u, offsets, n * n_ext), t_ref, strict=True):
+            fac.users, from_column_blocks(u, n * n_ext), t_ref, strict=True):
         assert np.array_equal(got_u, want_u) and np.array_equal(got_t, want_t)
     assert fac.kept_indices == coords.tolist()
     assert np.array_equal(fac.diag, np.real(np.diag(t_ref[0])))
@@ -589,7 +581,7 @@ def test_reorder_rejects_entries_moved_below_the_blocks():
         dense = from_block_rows(band)[np.ix_(pos, pos)]
         if np.any(dense[below]):
             raised += 1
-            with pytest.raises(NotBlockTriangularError):
+            with pytest.raises(NumericalError, match="moves a nonzero entry below"):
                 spacetime._select_rows(band[np.newaxis], pos)
         else:
             assert np.array_equal(from_block_rows(spacetime._select_rows(band, pos)), dense)

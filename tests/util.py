@@ -13,12 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from jtri import joint, matcore, multicast, spacetime
-from jtri.errors import (
-    DuplicateIndexError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NotSquareError,
-)
+from jtri.errors import DimensionError
 from jtri.gtd import GtdFactors, gmd
 from jtri.joint import JointFactors
 
@@ -209,19 +204,19 @@ def embed(n, b, index_groups):
     block = matcore.as_cmatrix(b)
     k, k2 = block.shape
     if k != k2:
-        raise NotSquareError("embedded block must be square")
+        raise DimensionError("embedded block must be square")
     out = np.eye(n, dtype=np.complex128)
     used = set()
     for group in index_groups:
         g = list(group)
         if len(g) != k:
-            raise LengthMismatchError(
+            raise DimensionError(
                 "group %r has %d entries, block is %d-by-%d" % (g, len(g), k, k))
         for i in g:
             if not 1 <= i <= n:
-                raise IndexOutOfRangeError("index %r outside 1..%d" % (i, n))
+                raise DimensionError("index %r outside 1..%d" % (i, n))
             if i in used:
-                raise DuplicateIndexError("index %r appears in two groups" % (i,))
+                raise DimensionError("index %r appears in two groups" % (i,))
             used.add(i)
         pos = [i - 1 for i in g]
         out[np.ix_(pos, pos)] = block
@@ -255,14 +250,14 @@ def from_block_rows(rows):
     return out
 
 
-def from_column_blocks(blocks, offsets, rows):
+def from_column_blocks(blocks, rows):
     """The (..., rows, nG) matrices held as the (..., G, H, n) column
-    blocks ``blocks``: block j holds rows offsets[j] .. offsets[j] + H - 1
-    of columns nj .. nj + n - 1, cut at the last row."""
+    blocks ``blocks``: block j holds rows nj .. nj + H - 1 of columns
+    nj .. nj + n - 1, cut at the last row."""
     *stack, g, height, n = blocks.shape
     out = np.zeros((*stack, rows, n * g), dtype=np.complex128)
     for j in range(g):
-        part = out[..., offsets[j]:offsets[j] + height, j * n:(j + 1) * n]
+        part = out[..., j * n:j * n + height, j * n:(j + 1) * n]
         part[...] = blocks[..., j, :part.shape[-2], :]
     return out
 
