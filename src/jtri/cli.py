@@ -84,7 +84,7 @@ def _load_payload(args):
         raise ParseError("invalid JSON: %s" % exc) from exc
 
 
-def _payload_matrices(payload, minimum=1):
+def _payload_matrices(payload):
     if isinstance(payload, dict) and "matrices" in payload:
         items = payload["matrices"]
     elif isinstance(payload, dict) and "rows" in payload:
@@ -94,8 +94,8 @@ def _payload_matrices(payload, minimum=1):
     if not isinstance(items, list):
         raise ParseError("expected a matrix object or {\"matrices\": [...]}")
     mats = [matcore.matrix_from_json(m) for m in items]
-    if len(mats) < minimum:
-        raise ParseError("need at least %d matrices" % minimum)
+    if not mats:
+        raise ParseError("need at least 1 matrix")
     return mats, payload if isinstance(payload, dict) else {}
 
 

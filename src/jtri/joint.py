@@ -89,13 +89,9 @@ def _check_absdet(mats, unit=False):
 
 
 def _hermitian_2x2_or_raise(s):
-    m = matcore.as_cmatrix(s)
-    if m.shape != (2, 2):
+    if np.shape(s) != (2, 2):
         raise DimensionError("expected a 2x2 matrix")
-    scale = np.max(np.abs(m)) + 1.0
-    if np.max(np.abs(m - m.conj().T)) > matcore.TOL_ZERO * scale:
-        raise NumericalError("matrix is not Hermitian")
-    return 0.5 * (m + m.conj().T)
+    return matcore.hermitian_part(s)
 
 
 def f1(s1, s2):
@@ -180,17 +176,16 @@ def _check_unit_det_pair(a1, a2):
 
 def _pair_condition(m1, m2, r=1.0, upper_lower=False):
     """The 2x2 existence test for a checked unit-|det| pair, as
-    (value, holds).
+    (value, holds), on the forms S_k = A_k^H A_k - r^2 I.
 
     Same orientation (both upper triangular, diagonal (r, 1/r)): the value
-    is F1 of S_k = A_k^H A_k - r^2 I.  Mixed orientation (second matrix
-    lower triangular): F2 of S1 = A1^H A1 - r^2 I, S2 = A2^H A2 - I / r^2.
+    is F1.  Mixed orientation (second matrix lower triangular, r = 1): F2.
     It holds when the value is not below zero by more than TOL_ZERO of
     its scale and, for r != 1, both shifted forms are indefinite.
     """
     shift = float(r) ** 2
     s1 = m1.conj().T @ m1 - shift * np.eye(2)
-    s2 = m2.conj().T @ m2 - (1.0 / shift if upper_lower else shift) * np.eye(2)
+    s2 = m2.conj().T @ m2 - shift * np.eye(2)
     val = (f2 if upper_lower else f1)(s1, s2)
     scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
     holds = val >= -matcore.TOL_ZERO * scale
@@ -219,16 +214,12 @@ def construct_2gmd(a1, a2):
 
 
 def _finish_joint_from_v1(mats, v1):
+    """Complete v1 to a unitary V; triangularize every A_k V in one QR call."""
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
     v = np.column_stack([v1, v2])
-    users = []
-    diags = []
-    for m in mats:
-        fac = matcore.qr(m @ v)
-        users.append((fac.q, fac.r))
-        diags.append(np.real(np.diag(fac.r)))
-    diag = np.mean(diags, axis=0)
-    return JointFactors(v=v, users=users, diag=diag)
+    q, r = matcore.block_qr(np.stack([m @ v for m in mats])[:, np.newaxis])
+    diag = np.mean(np.real(np.diagonal(r[:, 0], axis1=1, axis2=2)), axis=0)
+    return JointFactors(v=v, users=[(qk[0], rk[0]) for qk, rk in zip(q, r)], diag=diag)
 
 
 def kgmd_exact(matrices):
@@ -303,10 +294,10 @@ def jet2(a1, a2):
     return kgmd_to_kjet([a1, a2])
 
 
-def exists_upper_lower(a1, a2, r=1.0):
+def exists_upper_lower(a1, a2):
     """Existence of the mixed orientation: first matrix upper-triangular
-    with diagonal (r, 1/r), second lower-triangular with the same diagonal."""
-    return _pair_condition(*_check_unit_det_pair(a1, a2), r, upper_lower=True)[1]
+    with unit diagonal, second lower-triangular with unit diagonal."""
+    return _pair_condition(*_check_unit_det_pair(a1, a2), upper_lower=True)[1]
 
 
 def construct_upper_lower(a1, a2):
@@ -328,11 +319,10 @@ def construct_upper_lower(a1, a2):
     v1 = common_null_witness(s1, s2)
     v2 = np.array([np.conj(v1[1]), -np.conj(v1[0])])
     v = np.column_stack([v1, v2])
-    fac1 = matcore.qr(m1 @ v)
     # lower-triangular factor: QR of A2 V with its columns reversed,
     # reversed back (A2 V P = Q R gives A2 V = (Q P)(P R P))
-    fac2 = matcore.qr((m2 @ v)[:, ::-1])
-    return v, fac1.q, fac1.r, fac2.q[:, ::-1], fac2.r[::-1, ::-1]
+    q, r = matcore.block_qr(np.stack([m1 @ v, (m2 @ v)[:, ::-1]])[:, np.newaxis])
+    return v, q[0, 0], r[0, 0], q[1, 0][:, ::-1], r[1, 0][::-1, ::-1]
 
 
 def joint_block_feasible(a1, a2, block_sizes, det_ratios):

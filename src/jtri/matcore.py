@@ -6,9 +6,9 @@ Matrices are numpy ``complex128`` 2-D arrays throughout the package.
 All index lists crossing the API (kept indices, :func:`positions`) are
 1-based; numpy storage is 0-based internally.
 
-JSON text is written by one function, :func:`dumps`: json's encoder writes
-the document with a mark string in each matrix's place, and each mark is
-replaced by the matrix's text, so this module owns only the matrix format.
+A matrix is the JSON object {"rows": n, "cols": m, "data": [[re, im], ...]},
+row-major.  :func:`dumps` writes JSON text (json's encoder, with each
+matrix's text in place of a mark string); :func:`matrix_from_json` reads one.
 """
 
 import json
@@ -49,6 +49,16 @@ def check_square_set(mats):
         if m.shape != out[0].shape:
             raise DimensionError("all matrices must share one size")
     return out, out[0].shape[0]
+
+
+def hermitian_part(a, what="matrix"):
+    """(M + M^H) / 2 of the finite matrix M = ``a``, which must be Hermitian
+    to within TOL_ZERO * (max|M| + 1) entrywise; otherwise NumericalError
+    saying that ``what`` is not Hermitian."""
+    m = as_cmatrix(a)
+    if np.max(np.abs(m - m.conj().T)) > TOL_ZERO * (np.max(np.abs(m)) + 1.0):
+        raise NumericalError("%s is not Hermitian" % what)
+    return 0.5 * (m + m.conj().T)
 
 
 @dataclass
@@ -226,26 +236,11 @@ def majorizes(x, y):
 # --- JSON interchange --------------------------------------------------------
 
 
-def matrix_to_json(a):
-    """Matrix as {"rows", "cols", "data": [[re, im], ...]} in row-major order.
-
-    Floats survive a JSON round trip exactly (serialized with Python's
-    shortest round-trip decimal representation).
-    """
-    m = as_cmatrix(a)
-    rows, cols = m.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "data": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
-    }
-
-
 def matrix_from_json(obj):
-    """Inverse of :func:`matrix_to_json`, exact to the bit (signed zeros
-    included).  Anything but integer rows and cols and a rows*cols list of
-    [re, im] number pairs is a ParseError; a JSON null is refused, not read
-    as NaN."""
+    """The matrix of a loaded matrix object, as :func:`dumps` writes it,
+    exact to the bit (signed zeros included).  Anything but integer rows and
+    cols and a rows*cols list of [re, im] number pairs is a ParseError; a
+    JSON null is refused, not read as NaN."""
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (TypeError, KeyError) as exc:
@@ -322,12 +317,13 @@ def _runs(m):
 
 def dumps(obj):
     """Compact JSON text of ``obj`` with every ndarray as its matrix object
-    (:func:`matrix_to_json`), written by ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))``: its ``default`` hook writes each matrix in
-    runs (:func:`_runs`) and hands json the mark ``"\\0jtri-matrix\\0"``,
-    whose quoted form in json's text is then replaced by the matrix's text.
-    With arrays, a key or string ending with the mark raises ValueError;
-    without, the text is json's.  A non-finite number raises NumericalError.
+    (each float in its shortest round-trip form), written by
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``: its
+    ``default`` hook writes each matrix in runs (:func:`_runs`) and hands json
+    the mark ``"\\0jtri-matrix\\0"``, whose quoted form in json's text is
+    then replaced by the matrix's text.  With arrays, a key or string ending
+    with the mark raises ValueError; without, the text is json's.  A
+    non-finite number raises NumericalError.
     """
     matrices = []
 

@@ -57,19 +57,14 @@ class SicReport:
     measured_snr: np.ndarray
     predicted_snr: np.ndarray
     std_error: np.ndarray
-    trials: int
-    seed: int
 
 
 def _check_psd(cov):
-    c = matcore.as_cmatrix(cov)
-    scale = np.max(np.abs(c)) + 1.0
-    if np.max(np.abs(c - c.conj().T)) > matcore.TOL_ZERO * scale:
-        raise NumericalError("covariance is not Hermitian")
-    w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    if w[0] < -matcore.TOL_ZERO * scale:
+    c = matcore.hermitian_part(cov, "covariance")
+    w = np.linalg.eigvalsh(c)
+    if w[0] < -matcore.TOL_ZERO * (np.max(np.abs(c)) + 1.0):
         raise NumericalError("covariance has a negative eigenvalue %.3g" % w[0])
-    return 0.5 * (c + c.conj().T)
+    return c
 
 
 def mutual_info(h, cov):
@@ -122,12 +117,10 @@ def canonical_matrix(h, cov):
 
 def _augmented_qr(h, cov):
     hm = matcore.as_cmatrix(h)
-    c = _check_psd(cov)
-    if hm.shape[1] != c.shape[0]:
+    b = cov_sqrt(cov)
+    if hm.shape[1] != b.shape[0]:
         raise DimensionError("channel/covariance size mismatch")
-    n_t = c.shape[0]
-    aug = np.vstack([hm @ cov_sqrt(c), np.eye(n_t)])
-    return matcore.qr(aug)
+    return matcore.qr(np.vstack([hm @ b, np.eye(b.shape[0])]))
 
 
 def scheme_rates(diag, n_ext=1):
@@ -153,7 +146,7 @@ def _complex_normal(rng, shape):
 _BLOCK_ENTRIES = 1 << 18
 
 
-def simulate_sic(problem, factors, trials, seed, noise=True):
+def simulate_sic(problem, factors, trials, seed):
     """Monte-Carlo measurement of the per-stream SNR seen by the
     successive-cancellation receiver, one report per user.
 
@@ -166,8 +159,9 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
     streams still to come plus filtered noise w.  Its power is the
     denominator, |S_jj x_j|^2 the numerator, and the reported SNR is the
     ratio of their means, with a delta-method standard error.  Predicted
-    SNRs are r_j^2 - 1 from the effective triangular matrix.  With
-    ``noise=False`` interference-free streams report infinite SNR.
+    SNRs are r_j^2 - 1 from the effective triangular matrix.  A stream
+    that sees neither interference nor noise (one blind to the channel,
+    whose row of front is zero) reports infinite SNR.
 
     Trials are drawn and reduced in blocks of about _BLOCK_ENTRIES
     complex entries, keeping four running sums per stream, so memory is
@@ -214,8 +208,7 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
         x_sym = _complex_normal(rng, (m_streams, count))
         for k, (front, diag, lower) in enumerate(links):
             resid = lower @ x_sym
-            if noise:
-                resid += front @ _complex_normal(rng, (front.shape[1], count))
+            resid += front @ _complex_normal(rng, (front.shape[1], count))
             p_sig = np.abs(diag * x_sym) ** 2
             p_noise = np.abs(resid) ** 2
             sums[k] += (p_sig.sum(axis=1), (p_sig * p_sig).sum(axis=1),
@@ -227,14 +220,13 @@ def simulate_sic(problem, factors, trials, seed, noise=True):
             ratio = ms / mn
             rel_var = ((s_sig2 / trials - ms * ms) / (ms * ms)
                        + (s_noise2 / trials - mn * mn) / (mn * mn)) / trials
-        # a stream measured without noise injection and free of interference
-        # has a denominator of pure floating-point residue
+        # a stream free of interference and noise has a denominator of pure
+        # floating-point residue
         residue = mn <= 1e-20 * ms
         measured = np.where(residue, np.inf, ratio)
         stderr = np.where(residue, np.inf, ratio * np.sqrt(np.maximum(rel_var, 0.0)))
         reports.append(SicReport(measured_snr=measured, predicted_snr=pred,
-                                 std_error=stderr, trials=int(trials),
-                                 seed=int(seed)))
+                                 std_error=stderr))
     return reports
 
 
@@ -336,6 +328,8 @@ def dof_mismatch_example(c_ptp, variant="two_user"):
     cov = np.eye(2, dtype=np.complex128) * (power / 2.0)
     with _rate_in_range(c_ptp):
         alpha_full = np.sqrt(2.0 * (2.0 ** c_ptp - 1.0))    # one active antenna
+        if np.isinf(alpha_full):     # a float product overflows without raising
+            raise OverflowError
     alpha_wide = np.sqrt(2.0 * (2.0 ** (c_ptp / 2.0) - 1.0))  # both antennas
     root = 2.0 ** (c_ptp / 4.0)
     precoder = np.sqrt(1.0 / (2.0 ** (c_ptp / 2.0) + 1.0)) * np.array(

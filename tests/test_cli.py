@@ -9,11 +9,11 @@ import pytest
 
 import jtri
 from jtri import cli, errors, matcore
-from util import per_entry_document, rand_complex, rand_unit_det
+from util import matrix_to_json_per_entry, per_entry_document, rand_complex, rand_unit_det
 
 
 def mat_json(a):
-    return matcore.matrix_to_json(np.asarray(a, dtype=complex))
+    return matrix_to_json_per_entry(np.asarray(a, dtype=complex))
 
 
 def run_cli(capsys, args, inline=None):
@@ -266,6 +266,11 @@ _FLAG_CASES = [
      "numerical failure: rate 1000000.0 is too large: 2^rate overflows a float"),
     (["examples", "--name", "dof3", "--rate", "2000"], 4,
      "numerical failure: rate 2000.0 is too large: 2^rate overflows a float"),
+    # 2^rate is finite, 2 * (2^rate - 1) is not
+    (["examples", "--name", "dof2", "--rate", "1023.5"], 4,
+     "numerical failure: rate 1023.5 is too large: 2^rate overflows a float"),
+    (["examples", "--name", "dof3", "--rate", "1023.9"], 4,
+     "numerical failure: rate 1023.9 is too large: 2^rate overflows a float"),
     (["examples", "--name", "rateless2", "--rate", "nan"], 2,
      "argument --rate: needs a finite number > 0"),
     (["examples", "--name", "dof2", "--rate", "-1"], 2, "argument --rate: needs a finite number > 0"),
@@ -576,3 +581,15 @@ def test_simulate_reports_infinite_snr_as_null(capsys, monkeypatch):
     assert code == 0
     stream = json.loads(out)["streams"][0]
     assert stream["measured_snr"] is None and stream["std_error"] is None
+
+
+def test_simulate_blind_stream_reports_null_snr(capsys):
+    # a 1x2 user sees its first input only: the SVD's second stream meets
+    # neither interference nor noise
+    payload = {"users": [mat_json([[1.0, 0.0]])], "power": 2}
+    code, out, _ = run_cli(capsys, ["simulate", "--factors", "svd", "--trials", "1000"],
+                           payload)
+    assert code == 0
+    blind = json.loads(out)["streams"][1]
+    assert blind["predicted_snr"] == 0.0
+    assert blind["measured_snr"] is None and blind["std_error"] is None
