@@ -273,8 +273,9 @@ def _cmd_examples(args):
         hs = multicast.rateless_channels(2, c)
         cov = np.eye(2, dtype=complex)
         prob = multicast.MulticastProblem(users=hs, cov=cov, power=2.0)
-        gs = [multicast.canonical_matrix(h, cov) for h in hs]
-        factors = joint_mod.jet2(gs[0], gs[1])
+        with multicast.rate_in_range(c):
+            gs = [multicast.canonical_matrix(h, cov) for h in hs]
+            factors = joint_mod.jet2(gs[0], gs[1])
         rates = multicast.scheme_rates(factors.diag)
         out = {
             "name": name, "rate": c,
@@ -288,9 +289,11 @@ def _cmd_examples(args):
     elif name == "rateless3":
         c = args.rate
         a1, a2 = multicast.rateless3_reduce(c)
-        feasible = joint_mod.exists_2gmd(a1, a2)
         s1 = a1.conj().T @ a1 - np.eye(2)
         s2 = a2.conj().T @ a2 - np.eye(2)
+        with multicast.rate_in_range(c):
+            feasible = joint_mod.exists_2gmd(a1, a2)
+            factors = joint_mod.construct_2gmd(a1, a2) if feasible else None
         critical = 6.0 * np.log2((3.0 + np.sqrt(5.0)) / 2.0)
         out = {
             "name": name, "rate": c,
@@ -300,7 +303,6 @@ def _cmd_examples(args):
             "critical_rate": critical,
         }
         if feasible:
-            factors = joint_mod.construct_2gmd(a1, a2)
             out["precoder"] = factors.v
             out["witness"] = factors.v[:, :1]
         else:

@@ -181,13 +181,18 @@ def _pair_condition(m1, m2, r=1.0, upper_lower=False):
     Same orientation (both upper triangular, diagonal (r, 1/r)): the value
     is F1.  Mixed orientation (second matrix lower triangular, r = 1): F2.
     It holds when the value is not below zero by more than TOL_ZERO of
-    its scale and, for r != 1, both shifted forms are indefinite.
+    its scale, (||S_1|| ||S_2||)^2 + 1, and, for r != 1, both shifted forms
+    are indefinite.  A scale past the float range decides nothing: it
+    raises NumericalError.
     """
     shift = float(r) ** 2
     s1 = m1.conj().T @ m1 - shift * np.eye(2)
     s2 = m2.conj().T @ m2 - shift * np.eye(2)
+    with np.errstate(over="ignore"):
+        scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
+    if not np.isfinite(scale):
+        raise NumericalError("the scale of the existence test overflows a float")
     val = (f2 if upper_lower else f1)(s1, s2)
-    scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
     holds = val >= -matcore.TOL_ZERO * scale
     if holds and r != 1.0:
         holds = _det2(s1).real <= matcore.TOL_ZERO and _det2(s2).real <= matcore.TOL_ZERO
@@ -217,9 +222,9 @@ def _finish_joint_from_v1(mats, v1):
     """Complete v1 to a unitary V; triangularize every A_k V in one QR call."""
     v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
     v = np.column_stack([v1, v2])
-    q, r = matcore.block_qr(np.stack([m @ v for m in mats])[:, np.newaxis])
-    diag = np.mean(np.real(np.diagonal(r[:, 0], axis1=1, axis2=2)), axis=0)
-    return JointFactors(v=v, users=[(qk[0], rk[0]) for qk, rk in zip(q, r)], diag=diag)
+    fac = matcore.qr(np.stack([m @ v for m in mats]))
+    diag = np.mean(np.real(np.diagonal(fac.r, axis1=1, axis2=2)), axis=0)
+    return JointFactors(v=v, users=list(zip(fac.q, fac.r)), diag=diag)
 
 
 def kgmd_exact(matrices):
@@ -321,8 +326,8 @@ def construct_upper_lower(a1, a2):
     v = np.column_stack([v1, v2])
     # lower-triangular factor: QR of A2 V with its columns reversed,
     # reversed back (A2 V P = Q R gives A2 V = (Q P)(P R P))
-    q, r = matcore.block_qr(np.stack([m1 @ v, (m2 @ v)[:, ::-1]])[:, np.newaxis])
-    return v, q[0, 0], r[0, 0], q[1, 0][:, ::-1], r[1, 0][::-1, ::-1]
+    fac = matcore.qr(np.stack([m1 @ v, (m2 @ v)[:, ::-1]]))
+    return v, fac.q[0], fac.r[0], fac.q[1][:, ::-1], fac.r[1][::-1, ::-1]
 
 
 def joint_block_feasible(a1, a2, block_sizes, det_ratios):

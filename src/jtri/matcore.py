@@ -1,6 +1,7 @@
 """Dense complex matrix core: QR/SVD wrappers with fixed conventions,
-2x2 adjugate, time extension, multiplicative majorization, the shared
-input checks, and the JSON matrix interchange format.
+2x2 adjugate, block Toeplitz matrices (the time extension among them),
+multiplicative majorization, the shared input checks, and the JSON matrix
+interchange format.
 
 Matrices are numpy ``complex128`` 2-D arrays throughout the package.
 All index lists crossing the API (kept indices, :func:`positions`) are
@@ -25,14 +26,23 @@ TOL_RANK = 1e-12      # relative
 TOL_MAJOR = 1e-9      # on log-products
 
 
+def _as_cstack(a):
+    """Coerce to a finite complex128 array of one (..., rows, cols) matrix
+    or stack of them."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise DimensionError("expected a matrix or a stack of them, got ndim=%d" % m.ndim)
+    if not np.all(np.isfinite(m)):
+        raise DimensionError("matrix contains non-finite entries")
+    return m
+
+
 def as_cmatrix(a):
     """Coerce to a finite complex128 2-D array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError("expected a 2-D matrix, got ndim=%d" % m.ndim)
-    if not np.all(np.isfinite(m)):
-        raise DimensionError("matrix contains non-finite entries")
-    return m
+    return _as_cstack(m)
 
 
 def check_square_set(mats):
@@ -93,49 +103,56 @@ def _positive_diagonal(q, r, scale):
 
 
 def qr(a):
-    """Thin QR with the positive-diagonal convention.
+    """Thin QR with the positive-diagonal convention, of one matrix or of
+    each matrix of a (..., rows, cols) stack, held to its own norm.
 
     The diagonal of R is forced real and positive by absorbing unit phases
     into the columns of Q.  This makes the factorization unique for
     full-column-rank input, which the joint constructions rely on:
     qr(c*I @ V) returns Q = V (up to roundoff), R = c*I for unitary V, c > 0.
     """
-    m = as_cmatrix(a)
-    rows, cols = m.shape
+    m = _as_cstack(a)
+    rows, cols = m.shape[-2:]
     if cols > rows:
         raise NumericalError("more columns (%d) than rows (%d)" % (cols, rows))
     q, r = np.linalg.qr(m, mode="reduced")
-    q, r = _positive_diagonal(q, r, np.linalg.norm(m))
+    q, r = _positive_diagonal(q, r, np.linalg.norm(m, axis=(-2, -1))[..., np.newaxis])
     return QrFactors(q=q, r=r)
 
 
-def block_qr(rows):
-    """QR of square matrices that are upper triangular in aligned n x n
-    blocks, held as block rows.
+def _strided_blocks(a, count, shape, row_step, col_step):
+    """The (..., count, h, w) view of the (..., rows, cols) array ``a`` whose
+    block j is the h x w block at row row_step*j and column col_step*j;
+    writing to it writes to ``a``."""
+    *outer, rs, cs = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (*a.shape[:-2], count, *shape), (*outer, row_step * rs + col_step * cs, rs, cs))
 
-    ``rows`` is a (..., G, n, W) stack, W >= n: block row j of a matrix
-    holds its columns nj .. nj + W - 1, diagonal block first, with zeros
-    where those pass the last column (the part left of the diagonal block
-    is zero and not stored).  Such a matrix is blockdiag(Q_1, ..., Q_G) @ R:
-    each Q_j is the QR factor of the diagonal block alone, and block row j
-    of R is Q_j^H times block row j.  Returns the (..., G, n, n) stack of
-    the Q_j and R in the layout of ``rows``, under the conventions of
-    :func:`qr` (finite input, rank threshold relative to the Frobenius norm
-    of each matrix, real positive diagonal, exact zeros below it), for
-    O(n^2 W G) work.
+
+def block_qr(a, n):
+    """QR of (..., nG, nG) matrices that are upper triangular in aligned
+    n x n blocks: every entry below the diagonal blocks is zero, which is
+    not checked.
+
+    Such a matrix is blockdiag(Q_1, ..., Q_G) @ R: each Q_j is the QR factor
+    of diagonal block j alone, and block row j of R is Q_j^H times block
+    row j.  Returns the (..., G, n, n) stack of the Q_j and R, under the
+    conventions of :func:`qr` (finite input, rank threshold relative to the
+    Frobenius norm of each matrix, real positive diagonal, exact zeros below
+    it), for O(n (nG)^2) work.
     """
-    m = np.asarray(rows, dtype=np.complex128)
-    if m.ndim < 3 or m.shape[-1] < m.shape[-2]:
-        raise DimensionError("block rows of shape %s do not hold their diagonal blocks"
-                                  % (m.shape,))
-    if not np.all(np.isfinite(m)):
-        raise DimensionError("matrix contains non-finite entries")
-    n = m.shape[-2]
-    q, r_diag = np.linalg.qr(m[..., :n])
-    scale = np.linalg.norm(m.reshape(*m.shape[:-3], -1), axis=-1)
-    q, r_diag = _positive_diagonal(q, r_diag, scale[..., np.newaxis, np.newaxis])
-    r = np.matmul(q.conj().swapaxes(-1, -2), m)
-    r[..., :n] = r_diag
+    m = _as_cstack(a)
+    size = m.shape[-1]
+    if m.shape[-2] != size or size % n:
+        raise DimensionError("matrices of shape %s are not square in %d x %d blocks"
+                             % (m.shape[-2:], n, n))
+    g = size // n
+    q, r_diag = np.linalg.qr(_strided_blocks(m, g, (n, n), n, n))
+    scale = np.linalg.norm(m, axis=(-2, -1))[..., np.newaxis, np.newaxis]
+    q, r_diag = _positive_diagonal(q, r_diag, scale)
+    r = np.matmul(q.conj().swapaxes(-1, -2), m.reshape(*m.shape[:-2], g, n, size))
+    r = r.reshape(m.shape)
+    _strided_blocks(r, g, (n, n), n, n)[...] = r_diag
     return q, r
 
 
@@ -159,6 +176,21 @@ def adjugate(a):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
+def block_toeplitz(block, rows, cols, row_step, col_step):
+    """The (..., rows, cols) matrices holding ``block`` (..., h, w) at row
+    row_step*j and column col_step*j for every j whose block starts inside
+    the matrix, cut at its edge, and zeros elsewhere: one copy into a
+    strided view of the output, then the few cut blocks."""
+    *stack, h, w = block.shape
+    out = np.zeros((*stack, rows, cols), dtype=np.complex128)
+    whole = min((rows - h) // row_step, (cols - w) // col_step) + 1
+    _strided_blocks(out, whole, (h, w), row_step, col_step)[...] = block[..., np.newaxis, :, :]
+    for j in range(whole, min(-(-rows // row_step), -(-cols // col_step))):
+        cut = out[..., row_step * j:row_step * j + h, col_step * j:col_step * j + w]
+        cut[...] = block[..., :cut.shape[-2], :cut.shape[-1]]
+    return out
+
+
 def time_extend(a, n_ext):
     """Block-diagonal matrix with ``n_ext`` copies of ``a``.
 
@@ -170,10 +202,8 @@ def time_extend(a, n_ext):
     if n_ext < 1:
         raise DimensionError("n_ext must be >= 1")
     rows, cols = m.shape
-    out = np.zeros((n_ext, rows, n_ext, cols), dtype=np.complex128)
-    idx = np.arange(n_ext)
-    out[idx, :, idx, :] = m
-    return out.reshape(n_ext * rows, n_ext * cols)
+    # an empty block has nothing to place; a step of 0 would divide by zero
+    return block_toeplitz(m, n_ext * rows, n_ext * cols, max(rows, 1), max(cols, 1))
 
 
 def positions(n, indices):

@@ -234,13 +234,16 @@ def simulate_sic(problem, factors, trials, seed):
 
 
 @contextmanager
-def _rate_in_range(rate):
-    """A float overflow of 2^rate, or of a power of it, as NumericalError
-    naming ``rate``."""
+def rate_in_range(rate):
+    """A float overflow of 2^rate, or of a power of it, or a NumericalError
+    of a construction at ``rate``, as NumericalError naming ``rate``: the
+    condition numbers of the worked families grow with 2^rate."""
     try:
         yield
     except OverflowError as exc:
         raise NumericalError("rate %r is too large: 2^rate overflows a float" % rate) from exc
+    except NumericalError as exc:
+        raise NumericalError("rate %r is too large: %s" % (rate, exc)) from exc
 
 
 def rateless_channels(k_rates, total_rate):
@@ -253,7 +256,7 @@ def rateless_channels(k_rates, total_rate):
         raise DimensionError("total rate must be positive")
     out = []
     for k in range(1, k_rates + 1):
-        with _rate_in_range(total_rate):
+        with rate_in_range(total_rate):
             alpha = np.sqrt(2.0 ** (total_rate / k) - 1.0)
         h = np.zeros((k, k_rates), dtype=np.complex128)
         h[:, :k] = alpha * np.eye(k)
@@ -267,7 +270,7 @@ def rateless3_reduce(total_rate):
     determinant and the second is diag(b, 1/b) with b = 2^(C/12)."""
     if not total_rate > 0:
         raise DimensionError("total rate must be positive")
-    with _rate_in_range(total_rate):
+    with rate_in_range(total_rate):
         b = 2.0 ** (total_rate / 12.0)
         b2, b4, b6, b8 = b ** 2, b ** 4, b ** 6, b ** 8
     core = np.sqrt(1.0 - b2 + b8)
@@ -326,7 +329,7 @@ def dof_mismatch_example(c_ptp, variant="two_user"):
         raise DimensionError("c_ptp must be positive")
     power = 1.0
     cov = np.eye(2, dtype=np.complex128) * (power / 2.0)
-    with _rate_in_range(c_ptp):
+    with rate_in_range(c_ptp):
         alpha_full = np.sqrt(2.0 * (2.0 ** c_ptp - 1.0))    # one active antenna
         if np.isinf(alpha_full):     # a float product overflows without raising
             raise OverflowError

@@ -16,16 +16,16 @@ unitary returns the unitary itself).  The reordering drops a fixed number
 of edge coordinates per round, independent of N, which is why the
 efficiency (kept / total) approaches one as N grows.
 
-The rounds work on banded storage.  The shared right factor of a round
-is blockdiag(w, ..., w) for one n x n unitary w, so products with it are
-one n-column matmul, and a reordering is one gather of the band.  What
-they build is block Toeplitz, the "equal diagonals up to constant-length
+The shared right factor of a round is blockdiag(w, ..., w) for one n x n
+unitary w, so products with it are one n-column matmul.  What the rounds
+build is block Toeplitz, the "equal diagonals up to constant-length
 prefix and suffix" made exact: the column blocks of v and of each u_k are
 one n^R x n block shifted down by n, and the block rows of t_k one
 n x n^R block row shifted right by n and cut at the matrix edge (R
 rounds, E = R - 1).  These blocks are bitwise the same at every
-N >= 2 n^E, so the rounds run once, at min(N, 2 n^E), and the dense
-factors are written from them by strided block copies.
+N >= 2 n^E, so the rounds run once, on square arrays at
+M = min(N, 2 n^E), and the factors are written from their first blocks
+by strided block copies (matcore.block_toeplitz).
 
 nearly_kjet, for K matrices of equal |det|, runs the same rounds with
 joint.jet2 as the local step: K - 1 rounds, round l equalizing the active
@@ -69,83 +69,38 @@ def _reorder_indices(n, n_users, n_ext, round_l):
     ]
 
 
-# The rounds keep every factor in banded storage, sized from the index maps
-# of the reorderings alone; slots that pass the edge of a matrix hold zeros.
-# v and the u_k are column blocks: a (..., G, H, n) stack whose block j holds
-# rows nj .. nj + H - 1 of columns nj .. nj + n - 1.  The
-# t_k are block rows: a (..., G, n, W) stack whose block row j holds rows
-# nj .. nj + n - 1 of columns nj .. nj + W - 1 (matcore.block_qr's layout).
-# The leading axis stacks the users, so a round makes the same numpy calls
-# whatever K is.
+def _select(t, pos, n):
+    """t[..., pos, :][..., pos], the reordering of the stack of square
+    matrices ``t``.
 
-
-def _gather(stack, src, outside):
-    out = stack.reshape(*stack.shape[:-3], -1)[..., src]
-    out[..., outside] = 0.0
+    A nonzero entry that would land below the n x n diagonal blocks raises
+    NumericalError: matcore.block_qr takes every such entry to be zero, so
+    it would be dropped.  For the first reordering none can: element q2 of
+    group a sits at position n - q2 of original block
+    a - 1 + (q2 - 1) * (delta + 1) / n, so a coupled pair in one block, row
+    element q2 of group a and column element q2' of group b, has q2 >= q2'
+    (row at or left of the column), hence
+    a - b = (q2' - q2) * (delta + 1) / n <= 0.  Later rounds keep it on
+    every case the tests run.
+    """
+    out = t[..., pos, :][..., pos]
+    block = np.arange(pos.size) // n
+    if np.any(out[..., block[:, np.newaxis] > block]):
+        raise NumericalError(
+            "the reordering moves a nonzero entry below the %d x %d diagonal blocks" % (n, n))
     return out
 
 
-def _select_columns(pos, *stacks):
-    """Columns ``pos`` (0-based) of the column-block ``stacks``, in the same
-    layout.  Group j of a reordering has its first column in block j and the
-    others further right, so new block j starts at row nj too, and is as
-    high as the widest span its columns cover."""
-    height, n = stacks[0].shape[-2:]
-    src_block, src_col = np.divmod(pos.reshape(-1, n), n)
-    lift = n * (src_block - np.arange(src_block.shape[0])[:, np.newaxis])
-    # row r of new block j is row r - lift of the block its column comes from
-    row = np.arange(lift.max() + height)[:, np.newaxis] - lift[:, np.newaxis, :]
-    outside = (row < 0) | (row >= height)
-    src = np.where(outside, 0, (src_block[:, np.newaxis, :] * height + row) * n
-                   + src_col[:, np.newaxis, :])
-    return tuple(_gather(s, src, outside) for s in stacks)
-
-
-def _select_rows(t, pos):
-    """t[pos][:, pos] for the block-row stack ``t``, in the same layout.
-
-    Each stored slot goes to its place in the new matrix, and the new rows
-    are as wide as the furthest slot lies right of its diagonal block.  A
-    nonzero entry that would land below the diagonal blocks raises
-    NumericalError: the layout has no room for it, and it is never
-    dropped.  For the first reordering none can: element q2 of group a sits
-    at position n - q2 of original block a - 1 + (q2 - 1) * (delta + 1) / n,
-    so a coupled pair in one block, row element q2 of group a and column
-    element q2' of group b, has q2 >= q2' (row at or left of the column),
-    hence a - b = (q2' - q2) * (delta + 1) / n <= 0.  Later rounds keep it
-    on every case the tests run.
-    """
-    *stack, g, n, width = t.shape
-    size = n * g
-    new_index = np.full(size, -1)
-    new_index[pos] = np.arange(pos.size)
-    row = np.arange(size)[:, np.newaxis]
-    col = row // n * n + np.arange(width)
-    new_row = new_index[row]
-    new_col = np.where(col < size, new_index[np.minimum(col, size - 1)], -1)
-    gap = new_col - new_row // n * n          # new column, from its block row's start
-    kept = (new_row >= 0) & (new_col >= 0)
-    flat = t.reshape(*stack, -1)
-    if np.any(flat[..., np.flatnonzero(kept & (gap < 0))]):
-        raise NumericalError(
-            "the reordering moves a nonzero entry below the %d x %d diagonal blocks" % (n, n))
-    slots = np.flatnonzero(kept & (gap >= 0))
-    new_width = n * (int(gap.ravel()[slots].max()) // n + 1)
-    out = np.zeros((*stack, pos.size * new_width), dtype=np.complex128)
-    out[..., (new_row * new_width + gap).ravel()[slots]] = flat[..., slots]
-    return out.reshape(*stack, pos.size // n, n, new_width)
-
-
-def _band_rounds(mats, n_ext, mode):
-    """The rounds at N = ``n_ext`` in the banded layout above: round l's
-    local step is gmd of user l's active n x n block (mode "gmd", K rounds)
-    or jet2 of those of users l and l + 1 (mode "jet", K - 1 rounds).  Each
-    QR input is block upper triangular (_select_rows keeps its strict
-    block-lower part zero), so its Q is block diagonal (matcore.block_qr).
-    Returns v, the stacked u_k, the stacked t_k and the kept 1-based
-    coordinates."""
+def _run_rounds(mats, n_ext, mode):
+    """The rounds at N = ``n_ext``: round l's local step is gmd of user l's
+    active n x n block (mode "gmd", K rounds) or jet2 of those of users l
+    and l + 1 (mode "jet", K - 1 rounds).  Each QR input is upper
+    triangular in n x n blocks (_select keeps the rest zero), so its Q is
+    block diagonal (matcore.block_qr).  Returns v, the stacked u_k, the
+    stacked t_k and the kept 1-based coordinates."""
     rounds = len(mats) if mode == "gmd" else len(mats) - 1
     n = mats[0].shape[0]
+    size = n * n_ext
 
     def local_v(blocks, k):     # k = l - 1 is the first active user of round l
         return (gmd(blocks[k]) if mode == "gmd" else jet2(blocks[k], blocks[k + 1])).v
@@ -153,40 +108,30 @@ def _band_rounds(mats, n_ext, mode):
     # round 1 on the matrices themselves, whose extensions are block
     # diagonal: one n x n QR per user aligns everyone
     w = local_v(mats, 0)
-    q, r = matcore.block_qr(np.stack(mats)[:, np.newaxis] @ w)
-    v = np.repeat(w[np.newaxis], n_ext, axis=0)
-    u = np.repeat(q, n_ext, axis=1)
-    t = np.repeat(r, n_ext, axis=1)
-    coords = np.arange(1, n * n_ext + 1)
+    fac = matcore.qr(np.stack(mats) @ w)
+    v, u, t = (matcore.block_toeplitz(b, size, size, n, n) for b in (w, fac.q, fac.r))
+    coords = np.arange(1, size + 1)
 
     for round_l in range(2, rounds + 1):
         groups = _reorder_indices(n, rounds, n_ext, round_l)
         pos = matcore.positions(coords.size, [i for g in groups for i in g])
         coords = coords[pos]
-        v, u = _select_columns(pos, v, u)
-        t = _select_rows(t, pos)
-        w = local_v(t[:, 0, :, :n], round_l - 1)
-        q, t = matcore.block_qr((t.reshape(-1, n) @ w).reshape(t.shape))
-        u = np.matmul(u, q)
+        v, u, t = v[:, pos], u[..., pos], _select(t, pos, n)
+        w = local_v(t[:, :n, :n], round_l - 1)
+        q, t = matcore.block_qr((t.reshape(-1, n) @ w).reshape(t.shape), n)
+        # u_k @ blockdiag(q_k1, q_k2, ...), one column block per q_kj
+        cols = u.reshape(*u.shape[:-1], -1, n).swapaxes(-3, -2)
+        u = np.matmul(cols, q).swapaxes(-3, -2).reshape(u.shape)
         v = (v.reshape(-1, n) @ w).reshape(v.shape)
     return v, u, t, coords
 
 
-def _block_toeplitz(block, n, rows, cols):
-    """The (..., rows, cols) matrices holding ``block`` (..., h, w) at rows
-    and columns n*j for every block column j, cut at the matrix edge: one
-    copy into a strided view of the output, then the few cut blocks."""
-    *stack, h, w = block.shape
-    out = np.zeros((*stack, rows, cols), dtype=np.complex128)
-    *outer, row_step, col_step = out.strides
-    whole = min(rows - h, cols - w) // n + 1
-    view = np.lib.stride_tricks.as_strided(
-        out, (*stack, whole, h, w), (*outer, n * (row_step + col_step), row_step, col_step))
-    view[...] = block[..., np.newaxis, :, :]
-    for j in range(whole, cols // n):
-        cut = out[..., n * j:n * j + h, n * j:n * j + w]
-        cut[...] = block[..., :cut.shape[-2], :cut.shape[-1]]
-    return out
+def _trim(block):
+    """The stack ``block`` (..., h, w) cut after the last row and the last
+    column that hold a nonzero entry in any of its matrices."""
+    nonzero = np.any(block.reshape(-1, *block.shape[-2:]), axis=0)
+    rows, cols = (np.flatnonzero(nonzero.any(axis=axis))[-1] + 1 for axis in (1, 0))
+    return block[..., :rows, :cols]
 
 
 def _rounds(matrices, n_ext, mode):
@@ -199,12 +144,15 @@ def _rounds(matrices, n_ext, mode):
         raise InfeasibleError(
             "need at least %d extensions for %d users of size %d, got %d"
             % (min_ext, k_users, n, n_ext))
-    v, u, t, coords = _band_rounds(mats, min(n_ext, 2 * min_ext), mode)
-    kept = n * (n_ext - min_ext + 1)
-    t_dense = _block_toeplitz(t[:, 0], n, kept, kept)
+    v, u, t, coords = _run_rounds(mats, min(n_ext, 2 * min_ext), mode)
+    rows, kept = n * n_ext, n * (n_ext - min_ext + 1)
+    # the factors are block Toeplitz: written from the first column block
+    # of v and u_k and the first block row of t_k
+    t_dense = matcore.block_toeplitz(_trim(t[:, :n]), kept, kept, n, n)
     kept_indices = coords[:n] + np.arange(0, kept, n)[:, np.newaxis]
-    return JointFactors(v=_block_toeplitz(v[0], n, n * n_ext, kept),
-                        users=list(zip(_block_toeplitz(u[:, 0], n, n * n_ext, kept), t_dense)),
+    return JointFactors(v=matcore.block_toeplitz(_trim(v[:, :n]), rows, kept, n, n),
+                        users=list(zip(matcore.block_toeplitz(_trim(u[..., :n]), rows, kept, n, n),
+                                       t_dense)),
                         diag=np.real(np.diag(t_dense[0])), n_ext=n_ext,
                         kept_indices=kept_indices.ravel().tolist())
 

@@ -271,6 +271,12 @@ _FLAG_CASES = [
      "numerical failure: rate 1023.5 is too large: 2^rate overflows a float"),
     (["examples", "--name", "dof3", "--rate", "1023.9"], 4,
      "numerical failure: rate 1023.9 is too large: 2^rate overflows a float"),
+    # finite 2^rate, but past what double precision can construct
+    (["examples", "--name", "rateless2", "--rate", "600"], 4,
+     "numerical failure: rate 600.0 is too large: column residual below 1e-12 of the input norm"),
+    (["examples", "--name", "rateless3", "--rate", "1500"], 4,
+     "numerical failure: rate 1500.0 is too large: the scale of the existence test "
+     "overflows a float"),
     (["examples", "--name", "rateless2", "--rate", "nan"], 2,
      "argument --rate: needs a finite number > 0"),
     (["examples", "--name", "dof2", "--rate", "-1"], 2, "argument --rate: needs a finite number > 0"),

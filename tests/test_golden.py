@@ -55,6 +55,12 @@ CASES = {
     + _inline({"matrices": [_mat(A), _mat(D), _mat(C)]}),
     "spacetime_jet": ["spacetime", "--mode", "jet", "--extensions", "2"]
     + _inline({"matrices": [_mat(A), _mat(D), _mat(C)]}),
+    # past 2 n^E extensions, where the factors are written from the rounds
+    # run at 2 n^E
+    "spacetime_gmd_n9": ["spacetime", "--mode", "gmd", "--extensions", "9"]
+    + _inline({"matrices": [_mat(A), _mat(D), _mat(C)]}),
+    "spacetime_jet_n5": ["spacetime", "--mode", "jet", "--extensions", "5"]
+    + _inline({"matrices": [_mat(A), _mat(D), _mat(C)]}),
     "tables_csv": ["tables", "--format", "csv"],
     "tables_json": ["tables", "--format", "json"],
     "examples_rateless2": ["examples", "--name", "rateless2", "--rate", "4"],

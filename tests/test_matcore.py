@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from jtri import gtd, matcore, multicast
 from jtri.errors import DimensionError, NumericalError, ParseError
 from util import (
-    block_rows,
     embed,
-    from_block_rows,
     extraction_matrix,
     matrix_to_json_per_entry,
     per_entry_document,
@@ -67,7 +65,9 @@ def test_all_zero_and_tiny_inputs():
     with pytest.raises(NumericalError, match="column residual below"):
         matcore.qr(zero)
     with pytest.raises(NumericalError, match="column residual below"):
-        matcore.block_qr(zero[np.newaxis])
+        matcore.qr(np.stack([np.eye(2), zero]))
+    with pytest.raises(NumericalError, match="column residual below"):
+        matcore.block_qr(zero, 2)
     with pytest.raises(NumericalError, match="singular to working precision"):
         gtd.gmd(zero)
     assert np.array_equal(multicast.cov_sqrt(zero), zero)
@@ -76,10 +76,13 @@ def test_all_zero_and_tiny_inputs():
     c = a @ a.conj().T
     for scale in (1e-280, 1e-300, 1e-305):
         fac = matcore.qr(scale * a)
-        q, r = matcore.block_qr(scale * a[np.newaxis])
+        stacked = matcore.qr(scale * np.stack([a, a.T]))
+        q, r = matcore.block_qr(scale * a, 3)
         g = gtd.gmd(scale * a)
         b = multicast.cov_sqrt(scale * c)
-        for rec, m in ((fac.q @ (fac.r / scale), a), (q[0] @ (r[0] / scale), a),
+        for rec, m in ((fac.q @ (fac.r / scale), a), (q[0] @ (r / scale), a),
+                       (stacked.q[0] @ (stacked.r[0] / scale), a),
+                       (stacked.q[1] @ (stacked.r[1] / scale), a.T),
                        (g.u @ (g.r / scale) @ g.v.conj().T, a), (b @ (b.conj().T / scale), c)):
             assert np.max(np.abs(rec - m)) <= 1e-13 * np.max(np.abs(m))
 
@@ -473,16 +476,14 @@ def _block_diag(blocks):
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), g=st.integers(1, 8), log_scale=st.floats(-100.0, 100.0),
-       seed=st.integers(0, 2 ** 32 - 1), width=st.integers(0, 8))
-def test_block_qr_agrees_with_qr(n, g, log_scale, seed, width):
-    # block rows of any width that holds the band, including rows that run
-    # past the last column; entries below the diagonal inside a diagonal
-    # block are part of the input
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_qr_agrees_with_qr(n, g, log_scale, seed):
+    # entries below the diagonal inside a diagonal block are part of the
+    # input
     a = _block_upper(np.random.default_rng(seed), n, g, 10.0 ** log_scale)
-    q_blocks, r_rows = matcore.block_qr(block_rows(a, n, n * g + width))
+    q_blocks, r = matcore.block_qr(a, n)
     ref = matcore.qr(a)
     q = _block_diag(q_blocks)
-    r = from_block_rows(r_rows)
     assert q_blocks.shape == (g, n, n)
     assert np.linalg.norm(q - ref.q) <= 1e-13 * np.linalg.norm(ref.q)
     assert np.linalg.norm(r - ref.r) <= 1e-13 * np.linalg.norm(ref.r)
@@ -503,10 +504,9 @@ def test_block_qr_rank_threshold_matches_qr():
         a = base.copy()
         eps = ratio * matcore.TOL_RANK * np.linalg.norm(a)
         a[4:6, 4:6] = rand_unitary(rng, 2) @ np.diag([1.0, eps])
-        rows = block_rows(a, n, n * g)
-        louder = block_rows(1e3 * base, n, n * g)
-        for factor in (matcore.qr, lambda m: matcore.block_qr(rows),
-                       lambda m: matcore.block_qr(np.stack([louder, rows]))):
+        louder = np.stack([1e3 * base, a])
+        for factor in (matcore.qr, lambda m: matcore.block_qr(m, n),
+                       lambda m: matcore.qr(louder), lambda m: matcore.block_qr(louder, n)):
             if raises:
                 with pytest.raises(NumericalError, match="column residual below"):
                     factor(a)
@@ -516,11 +516,12 @@ def test_block_qr_rank_threshold_matches_qr():
 
 def test_block_qr_needs_the_diagonal_blocks():
     rng = np.random.default_rng(21)
-    rows = block_rows(_block_upper(rng, 3, 4), 3, 6)
-    with pytest.raises(DimensionError, match="do not hold their diagonal blocks"):
-        matcore.block_qr(rows[..., :2])
-    with pytest.raises(DimensionError, match="do not hold their diagonal blocks"):
-        matcore.block_qr(rows[0])
-    rows[1, 2, 4] = np.nan
+    a = _block_upper(rng, 3, 4)
+    for bad, n in ((a[:, :9], 3), (a[:-1, :-1], 3), (a, 5), (a[np.newaxis, :2, :2], 3)):
+        with pytest.raises(DimensionError, match="not square in %d x %d blocks" % (n, n)):
+            matcore.block_qr(bad, n)
+    with pytest.raises(DimensionError, match="expected a matrix or a stack of them"):
+        matcore.block_qr(a[0], 3)
+    a[1, 4] = np.nan
     with pytest.raises(DimensionError, match="non-finite entries"):
-        matcore.block_qr(rows)
+        matcore.block_qr(a, 3)

@@ -11,8 +11,6 @@ import test_golden as golden
 from util import (
     extended_gmd_residual,
     extraction_matrix,
-    from_block_rows,
-    from_column_blocks,
     nearly_kgmd_dense,
     rand_real_det_one,
     rand_unit_det,
@@ -515,14 +513,12 @@ def test_factors_are_the_band_rounds_at_n_itself(n, k_users, mode, n_ext):
     mats = [rand_unit_det(rng, n) for _ in range(k_users)]
     construct = spacetime.nearly_kgmd if mode == "gmd" else spacetime.nearly_kjet
     fac = construct(mats, n_ext)
-    v, u, t, coords = spacetime._band_rounds(mats, n_ext, mode)
-    t_ref = from_block_rows(t)
-    assert np.array_equal(fac.v, from_column_blocks(v, n * n_ext))
-    for (got_u, got_t), want_u, want_t in zip(
-            fac.users, from_column_blocks(u, n * n_ext), t_ref, strict=True):
+    v, u, t, coords = spacetime._run_rounds(mats, n_ext, mode)
+    assert np.array_equal(fac.v, v)
+    for (got_u, got_t), want_u, want_t in zip(fac.users, u, t, strict=True):
         assert np.array_equal(got_u, want_u) and np.array_equal(got_t, want_t)
     assert fac.kept_indices == coords.tolist()
-    assert np.array_equal(fac.diag, np.real(np.diag(t_ref[0])))
+    assert np.array_equal(fac.diag, np.real(np.diag(t[0])))
     assert all(m.flags.c_contiguous for m in [fac.v, *(m for pair in fac.users for m in pair)])
 
 
@@ -531,20 +527,24 @@ def test_rounds_cost_does_not_grow_with_n(monkeypatch):
     rng = np.random.default_rng(17)
     mats = [rand_unit_det(rng, 2) for _ in range(3)]
     shapes = []
-    block_qr = matcore.block_qr
 
-    def recording(rows):
-        shapes.append(rows.shape)
-        return block_qr(rows)
+    def recording(name):
+        factor = getattr(matcore, name)
 
-    monkeypatch.setattr(matcore, "block_qr", recording)
+        def wrapper(a, *args):
+            shapes.append((name, a.shape))
+            return factor(a, *args)
+        return wrapper
+
+    for name in ("qr", "block_qr"):
+        monkeypatch.setattr(matcore, name, recording(name))
     spacetime.nearly_kgmd(mats, 8)
     at_twice = shapes.copy()
     shapes.clear()
     fac = spacetime.nearly_kgmd(mats, 1024)
     assert fac.kept_dim == 2 * (1024 - 3)
     assert shapes == at_twice
-    assert max(s[-3] for s in shapes) <= 8
+    assert max(s[-1] for _, s in shapes) <= 16
 
 
 def test_nearly_kgmd_peak_memory_is_its_result():
@@ -563,26 +563,30 @@ def test_nearly_kgmd_peak_memory_is_its_result():
 
 
 def test_reorder_rejects_entries_moved_below_the_blocks():
-    # block rows as after round 1 of (n, K, N) = (2, 3, 8), plus one tiny
-    # entry right of a diagonal block: the reordering raises exactly when
-    # the dense t[pos][:, pos] holds that entry below the diagonal blocks,
-    # and otherwise returns that matrix
+    # t as after round 1 of (n, K, N) = (2, 3, 8), plus one tiny entry in
+    # one of the two blocks right of a diagonal block: the reordering
+    # raises exactly when t[pos][:, pos] holds that entry below the
+    # diagonal blocks, and otherwise returns that matrix
     n, n_ext, width = 2, 8, 6
+    size = n * n_ext
     rng = np.random.default_rng(16)
     groups = spacetime._reorder_indices(n, 3, n_ext, 2)
-    pos = matcore.positions(n * n_ext, [i for g in groups for i in g])
-    base = np.zeros((n_ext, n, width), dtype=complex)
-    base[:, :, :n] = np.triu(rng.standard_normal((n_ext, n, n)) + 3.0)
+    pos = matcore.positions(size, [i for g in groups for i in g])
+    base = np.zeros((size, size), dtype=complex)
+    for j, block in enumerate(np.triu(rng.standard_normal((n_ext, n, n)) + 3.0)):
+        base[j * n:(j + 1) * n, j * n:(j + 1) * n] = block
     below = np.arange(pos.size)[:, None] // n > np.arange(pos.size)[None, :] // n
     raised = 0
     for j, i, c in np.ndindex(n_ext - 1, n, width - n):
-        band = base.copy()
-        band[j, i, n + c] = 1e-300
-        dense = from_block_rows(band)[np.ix_(pos, pos)]
+        if n * j + n + c >= size:
+            continue            # right of the last column
+        t = base.copy()
+        t[n * j + i, n * j + n + c] = 1e-300
+        dense = t[np.ix_(pos, pos)]
         if np.any(dense[below]):
             raised += 1
             with pytest.raises(NumericalError, match="moves a nonzero entry below"):
-                spacetime._select_rows(band[np.newaxis], pos)
+                spacetime._select(t[np.newaxis], pos, n)
         else:
-            assert np.array_equal(from_block_rows(spacetime._select_rows(band, pos)), dense)
+            assert np.array_equal(spacetime._select(t, pos, n), dense)
     assert raised

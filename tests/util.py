@@ -223,45 +223,6 @@ def embed(n, b, index_groups):
     return out
 
 
-# --- block-row layout ------------------------------------------------------------
-
-
-def block_rows(a, n, width):
-    """The square matrix ``a`` as the (G, n, width) block rows of
-    matcore.block_qr: block row j holds columns nj .. nj + width - 1, zero
-    past the last column.  Entries left of the diagonal blocks are not
-    kept."""
-    size = a.shape[0]
-    out = np.zeros((size // n, n, width), dtype=np.complex128)
-    for j in range(size // n):
-        cols = a[j * n:(j + 1) * n, j * n:j * n + width]
-        out[j, :, :cols.shape[1]] = cols
-    return out
-
-
-def from_block_rows(rows):
-    """The (..., nG, nG) matrices held as the (..., G, n, W) block rows
-    ``rows``, cut at the last column."""
-    *stack, g, n, width = rows.shape
-    out = np.zeros((*stack, g * n, g * n), dtype=np.complex128)
-    for j in range(g):
-        cols = out[..., j * n:(j + 1) * n, j * n:j * n + width]
-        cols[...] = rows[..., j, :, :cols.shape[-1]]
-    return out
-
-
-def from_column_blocks(blocks, rows):
-    """The (..., rows, nG) matrices held as the (..., G, H, n) column
-    blocks ``blocks``: block j holds rows nj .. nj + H - 1 of columns
-    nj .. nj + n - 1, cut at the last row."""
-    *stack, g, height, n = blocks.shape
-    out = np.zeros((*stack, rows, n * g), dtype=np.complex128)
-    for j in range(g):
-        part = out[..., j * n:j * n + height, j * n:(j + 1) * n]
-        part[...] = blocks[..., j, :part.shape[-2], :]
-    return out
-
-
 # --- per-entry JSON encoder oracle -----------------------------------------------
 
 
