@@ -14,7 +14,8 @@ Commands put numpy arrays into their output documents as they are, and
 document with each array as its matrix object.  That call writes it, with
 a mark string in each array's place that is then replaced by the matrix's
 text, written as runs of equal [re, im] pairs, each distinct pair
-formatted once, so the banded ``spacetime`` factors cost little to write.
+formatted once, so the block-Toeplitz ``spacetime`` factors cost little
+to write.
 No output document holds the mark as a string.  A non-finite number is
 never written: it fails the command with exit 4, in a matrix or as a
 scalar (a non-finite input exits 5), except that ``simulate`` reports an

@@ -4,8 +4,8 @@ multiplicative majorization, the shared input checks, and the JSON matrix
 interchange format.
 
 Matrices are numpy ``complex128`` 2-D arrays throughout the package.
-All index lists crossing the API (kept indices, :func:`positions`) are
-1-based; numpy storage is 0-based internally.
+Index lists crossing the API (kept indices) are 1-based; numpy storage is
+0-based internally.
 
 A matrix is the JSON object {"rows": n, "cols": m, "data": [[re, im], ...]},
 row-major.  :func:`dumps` writes JSON text (json's encoder, with each
@@ -84,24 +84,6 @@ class SvdFactors:
     v: np.ndarray       # a = u @ diag(sigma) @ v.conj().T
 
 
-def _positive_diagonal(q, r, scale):
-    """The QR convention shared by qr and block_qr, on one factor pair or a
-    stack of them: a diagonal entry of R at or below TOL_RANK * scale is
-    rank deficiency; otherwise unit phases move from R's diagonal into Q's
-    columns, leaving it real and positive, with exact zeros below it."""
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.any(np.abs(diag) <= TOL_RANK * scale):
-        raise NumericalError("column residual below %g of the input norm" % TOL_RANK)
-    phases = diag / np.abs(diag)
-    q = q * phases[..., np.newaxis, :]
-    r = phases.conj()[..., :, np.newaxis] * r
-    cols = r.shape[-1]
-    r[..., np.tri(cols, k=-1, dtype=bool)] = 0.0
-    idx = np.arange(cols)
-    r[..., idx, idx] = r[..., idx, idx].real
-    return q, r
-
-
 def qr(a):
     """Thin QR with the positive-diagonal convention, of one matrix or of
     each matrix of a (..., rows, cols) stack, held to its own norm.
@@ -116,44 +98,19 @@ def qr(a):
     if cols > rows:
         raise NumericalError("more columns (%d) than rows (%d)" % (cols, rows))
     q, r = np.linalg.qr(m, mode="reduced")
-    q, r = _positive_diagonal(q, r, np.linalg.norm(m, axis=(-2, -1))[..., np.newaxis])
+    # a diagonal entry of R at or below TOL_RANK * ||a||_F is rank
+    # deficiency; otherwise unit phases move from R's diagonal into Q's
+    # columns, leaving it real and positive, with exact zeros below it
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.any(np.abs(diag) <= TOL_RANK * np.linalg.norm(m, axis=(-2, -1))[..., np.newaxis]):
+        raise NumericalError("column residual below %g of the input norm" % TOL_RANK)
+    phases = diag / np.abs(diag)
+    q = q * phases[..., np.newaxis, :]
+    r = phases.conj()[..., :, np.newaxis] * r
+    r[..., np.tri(cols, k=-1, dtype=bool)] = 0.0
+    idx = np.arange(cols)
+    r[..., idx, idx] = r[..., idx, idx].real
     return QrFactors(q=q, r=r)
-
-
-def _strided_blocks(a, count, shape, row_step, col_step):
-    """The (..., count, h, w) view of the (..., rows, cols) array ``a`` whose
-    block j is the h x w block at row row_step*j and column col_step*j;
-    writing to it writes to ``a``."""
-    *outer, rs, cs = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a, (*a.shape[:-2], count, *shape), (*outer, row_step * rs + col_step * cs, rs, cs))
-
-
-def block_qr(a, n):
-    """QR of (..., nG, nG) matrices that are upper triangular in aligned
-    n x n blocks: every entry below the diagonal blocks is zero, which is
-    not checked.
-
-    Such a matrix is blockdiag(Q_1, ..., Q_G) @ R: each Q_j is the QR factor
-    of diagonal block j alone, and block row j of R is Q_j^H times block
-    row j.  Returns the (..., G, n, n) stack of the Q_j and R, under the
-    conventions of :func:`qr` (finite input, rank threshold relative to the
-    Frobenius norm of each matrix, real positive diagonal, exact zeros below
-    it), for O(n (nG)^2) work.
-    """
-    m = _as_cstack(a)
-    size = m.shape[-1]
-    if m.shape[-2] != size or size % n:
-        raise DimensionError("matrices of shape %s are not square in %d x %d blocks"
-                             % (m.shape[-2:], n, n))
-    g = size // n
-    q, r_diag = np.linalg.qr(_strided_blocks(m, g, (n, n), n, n))
-    scale = np.linalg.norm(m, axis=(-2, -1))[..., np.newaxis, np.newaxis]
-    q, r_diag = _positive_diagonal(q, r_diag, scale)
-    r = np.matmul(q.conj().swapaxes(-1, -2), m.reshape(*m.shape[:-2], g, n, size))
-    r = r.reshape(m.shape)
-    _strided_blocks(r, g, (n, n), n, n)[...] = r_diag
-    return q, r
 
 
 def svd(a):
@@ -184,7 +141,10 @@ def block_toeplitz(block, rows, cols, row_step, col_step):
     *stack, h, w = block.shape
     out = np.zeros((*stack, rows, cols), dtype=np.complex128)
     whole = min((rows - h) // row_step, (cols - w) // col_step) + 1
-    _strided_blocks(out, whole, (h, w), row_step, col_step)[...] = block[..., np.newaxis, :, :]
+    *outer, rs, cs = out.strides
+    np.lib.stride_tricks.as_strided(
+        out, (*stack, whole, h, w), (*outer, row_step * rs + col_step * cs, rs, cs)
+    )[...] = block[..., np.newaxis, :, :]
     for j in range(whole, min(-(-rows // row_step), -(-cols // col_step))):
         cut = out[..., row_step * j:row_step * j + h, col_step * j:col_step * j + w]
         cut[...] = block[..., :cut.shape[-2], :cut.shape[-1]]
@@ -204,20 +164,6 @@ def time_extend(a, n_ext):
     rows, cols = m.shape
     # an empty block has nothing to place; a step of 0 would divide by zero
     return block_toeplitz(m, n_ext * rows, n_ext * cols, max(rows, 1), max(cols, 1))
-
-
-def positions(n, indices):
-    """0-based int array of the 1-based ``indices``, each in 1..n and
-    none listed twice."""
-    idx = list(indices)
-    seen = set()
-    for i in idx:
-        if not 1 <= i <= n:
-            raise DimensionError("index %r outside 1..%d" % (i, n))
-        if i in seen:
-            raise DimensionError("index %r listed twice" % (i,))
-        seen.add(i)
-    return np.array(idx, dtype=np.int64) - 1
 
 
 def first_failing_group(sigma, log_products, sizes=None):

@@ -17,15 +17,16 @@ of edge coordinates per round, independent of N, which is why the
 efficiency (kept / total) approaches one as N grows.
 
 The shared right factor of a round is blockdiag(w, ..., w) for one n x n
-unitary w, so products with it are one n-column matmul.  What the rounds
-build is block Toeplitz, the "equal diagonals up to constant-length
-prefix and suffix" made exact: the column blocks of v and of each u_k are
-one n^R x n block shifted down by n, and the block rows of t_k one
-n x n^R block row shifted right by n and cut at the matrix edge (R
-rounds, E = R - 1).  These blocks are bitwise the same at every
-N >= 2 n^E, so the rounds run once, on square arrays at
-M = min(N, 2 n^E), and the factors are written from their first blocks
-by strided block copies (matcore.block_toeplitz).
+unitary w.  What the rounds build is block Toeplitz, the "equal diagonals
+up to constant-length prefix and suffix" made exact: the column blocks of
+v and of each u_k are one block of at most n^R rows shifted down by n,
+and the block rows of t_k one block row of at most n^R columns shifted
+right by n and cut at the matrix edge (R rounds, E = R - 1).  So the
+rounds run on these generators alone, whatever N is: a round is one
+gather that reorders them, the local step on the diagonal blocks, one
+stacked n x n QR of the K users' diagonal blocks, and small matmuls.  The
+dense factors are written from the generators by strided block copies
+(matcore.block_toeplitz).
 
 nearly_kjet, for K matrices of equal |det|, runs the same rounds with
 joint.jet2 as the local step: K - 1 rounds, round l equalizing the active
@@ -52,55 +53,55 @@ from .joint import (
 )
 
 
-def _reorder_indices(n, n_users, n_ext, round_l):
-    """1-based index groups kept by the round-l reordering.
+def _reorder(cols, t, s):
+    """The generators after a round's reordering, which takes new
+    coordinate n*a + i from old coordinate n*(a + i*s) + n - 1 - i
+    (i = 0..n-1): ``cols`` (c, h, n) holds first column blocks and ``t``
+    (K, n, w) first block rows.
 
-    Group q1 collects one coordinate from each of n hops of stride
-    delta = n^(K-l+1) - 1 starting at coordinate n*q1; consecutive group
-    starts are n apart.  Validated against the fully worked small cases;
-    the group count shrinks with l, which is where the edge coordinates
-    are discarded.
+    Column i of ``cols`` becomes its old column n - 1 - i moved down i*s
+    blocks.  Row i of ``t`` becomes its old row n - 1 - i, whose column
+    n - 1 - j of each block moves (i - j)*s blocks right, to column j.  A
+    nonzero entry that would land left of the first block lands below the
+    diagonal blocks of t_k; the QR step takes every such entry to be zero,
+    so NumericalError.  In the first reordering none can, since (i - j)*s
+    < 0 needs j > i, and old row n - 1 - i is zero left of column
+    n - 1 - i; later rounds keep it on every case the tests run.
     """
-    delta = n ** (n_users - round_l + 1) - 1
-    q1_count = n_ext - n ** (n_users - 1) + n ** (n_users - round_l)
-    return [
-        [n + (q1 - 1) * n + (q2 - 1) * delta for q2 in range(1, n + 1)]
-        for q1 in range(1, q1_count + 1)
-    ]
-
-
-def _select(t, pos, n):
-    """t[..., pos, :][..., pos], the reordering of the stack of square
-    matrices ``t``.
-
-    A nonzero entry that would land below the n x n diagonal blocks raises
-    NumericalError: matcore.block_qr takes every such entry to be zero, so
-    it would be dropped.  For the first reordering none can: element q2 of
-    group a sits at position n - q2 of original block
-    a - 1 + (q2 - 1) * (delta + 1) / n, so a coupled pair in one block, row
-    element q2 of group a and column element q2' of group b, has q2 >= q2'
-    (row at or left of the column), hence
-    a - b = (q2' - q2) * (delta + 1) / n <= 0.  Later rounds keep it on
-    every case the tests run.
-    """
-    out = t[..., pos, :][..., pos]
-    block = np.arange(pos.size) // n
-    if np.any(out[..., block[:, np.newaxis] > block]):
+    n = t.shape[-2]
+    lane = np.arange(n)
+    row_lane = lane[:, np.newaxis, np.newaxis]
+    pad = (n - 1) * s
+    # entry (b, r, n - 1 - i) of the (c, blocks, n, n) column blocks goes
+    # to (b + i*s, r, i)
+    blocks = cols.reshape(len(cols), -1, n, n)[..., ::-1]
+    moved = np.zeros((len(cols), blocks.shape[1] + pad, n, n), dtype=np.complex128)
+    moved[:, np.arange(blocks.shape[1])[:, np.newaxis, np.newaxis] + s * lane,
+          lane[:, np.newaxis], lane] = blocks
+    # entry (n - 1 - i, b, n - 1 - j) of the (K, n, blocks, n) block rows
+    # goes to (i, b + (i - j)*s, j), held pad blocks right
+    rows = t.reshape(len(t), n, -1, n)[:, ::-1, :, ::-1]
+    shifted = np.zeros((len(t), n, rows.shape[2] + 2 * pad, n), dtype=np.complex128)
+    shifted[:, row_lane, np.arange(rows.shape[2])[:, np.newaxis] + s * (row_lane - lane) + pad,
+            lane] = rows
+    if np.any(shifted[:, :, :pad]):
         raise NumericalError(
             "the reordering moves a nonzero entry below the %d x %d diagonal blocks" % (n, n))
-    return out
+    return moved.reshape(len(cols), -1, n), shifted[:, :, pad:].reshape(len(t), n, -1)
 
 
-def _run_rounds(mats, n_ext, mode):
-    """The rounds at N = ``n_ext``: round l's local step is gmd of user l's
-    active n x n block (mode "gmd", K rounds) or jet2 of those of users l
-    and l + 1 (mode "jet", K - 1 rounds).  Each QR input is upper
-    triangular in n x n blocks (_select keeps the rest zero), so its Q is
-    block diagonal (matcore.block_qr).  Returns v, the stacked u_k, the
-    stacked t_k and the kept 1-based coordinates."""
+def _run_rounds(mats, mode):
+    """The rounds on the generators of their block Toeplitz results: round
+    l's local step is gmd of user l's diagonal block (mode "gmd", K rounds)
+    or jet2 of those of users l and l + 1 (mode "jet", K - 1 rounds).  Each
+    QR input is upper triangular in n x n blocks (_reorder keeps the rest
+    zero), with one diagonal block per user repeated down the diagonal, so
+    its Q is blockdiag(q_k, q_k, ...) for the QR factor q_k of that block.
+    Returns the first column block of v, those of the stacked u_k, the
+    first block rows of the stacked t_k, and the 1-based coordinates the
+    first n columns keep."""
     rounds = len(mats) if mode == "gmd" else len(mats) - 1
     n = mats[0].shape[0]
-    size = n * n_ext
 
     def local_v(blocks, k):     # k = l - 1 is the first active user of round l
         return (gmd(blocks[k]) if mode == "gmd" else jet2(blocks[k], blocks[k + 1])).v
@@ -109,21 +110,18 @@ def _run_rounds(mats, n_ext, mode):
     # diagonal: one n x n QR per user aligns everyone
     w = local_v(mats, 0)
     fac = matcore.qr(np.stack(mats) @ w)
-    v, u, t = (matcore.block_toeplitz(b, size, size, n, n) for b in (w, fac.q, fac.r))
-    coords = np.arange(1, size + 1)
-
+    cols, t, first = np.concatenate([w[np.newaxis], fac.q]), fac.r, np.arange(1, n + 1)
     for round_l in range(2, rounds + 1):
-        groups = _reorder_indices(n, rounds, n_ext, round_l)
-        pos = matcore.positions(coords.size, [i for g in groups for i in g])
-        coords = coords[pos]
-        v, u, t = v[:, pos], u[..., pos], _select(t, pos, n)
-        w = local_v(t[:, :n, :n], round_l - 1)
-        q, t = matcore.block_qr((t.reshape(-1, n) @ w).reshape(t.shape), n)
-        # u_k @ blockdiag(q_k1, q_k2, ...), one column block per q_kj
-        cols = u.reshape(*u.shape[:-1], -1, n).swapaxes(-3, -2)
-        u = np.matmul(cols, q).swapaxes(-3, -2).reshape(u.shape)
-        v = (v.reshape(-1, n) @ w).reshape(v.shape)
-    return v, u, t, coords
+        s = n ** (rounds - round_l)
+        cols, t = _reorder(cols, t, s)
+        first = first[::-1] + n * s * np.arange(n)
+        w = local_v(t[..., :n], round_l - 1)
+        t = (t.reshape(-1, n) @ w).reshape(t.shape)
+        fac = matcore.qr(t[..., :n])
+        t = fac.q.conj().swapaxes(-1, -2) @ t
+        t[..., :n] = fac.r
+        cols = cols @ np.concatenate([w[np.newaxis], fac.q])
+    return cols[0], cols[1:], t, first
 
 
 def _trim(block):
@@ -139,19 +137,23 @@ def _rounds(matrices, n_ext, mode):
     k_users = len(mats)
     min_ext = discarded_uses(n, k_users, mode) + 1
     _check_absdet(mats, unit=mode == "gmd")
+    # argparse hands the CLI's count over as an int; anything else, a bool
+    # or a float with a fraction among them, is refused, not truncated
+    if isinstance(n_ext, bool) or not isinstance(n_ext, (int, np.integer)):
+        raise DimensionError("the extension count must be an integer, got %r" % (n_ext,))
     n_ext = int(n_ext)
     if n_ext < min_ext:
         raise InfeasibleError(
             "need at least %d extensions for %d users of size %d, got %d"
             % (min_ext, k_users, n, n_ext))
-    v, u, t, coords = _run_rounds(mats, min(n_ext, 2 * min_ext), mode)
+    v, u, t, first = _run_rounds(mats, mode)
     rows, kept = n * n_ext, n * (n_ext - min_ext + 1)
-    # the factors are block Toeplitz: written from the first column block
-    # of v and u_k and the first block row of t_k
-    t_dense = matcore.block_toeplitz(_trim(t[:, :n]), kept, kept, n, n)
-    kept_indices = coords[:n] + np.arange(0, kept, n)[:, np.newaxis]
-    return JointFactors(v=matcore.block_toeplitz(_trim(v[:, :n]), rows, kept, n, n),
-                        users=list(zip(matcore.block_toeplitz(_trim(u[..., :n]), rows, kept, n, n),
+    # the factors are block Toeplitz, written from the generators; those of
+    # v and the u_k have at most n * min_ext rows, so only t_k's is cut
+    t_dense = matcore.block_toeplitz(_trim(t[..., :kept]), kept, kept, n, n)
+    kept_indices = first + np.arange(0, kept, n)[:, np.newaxis]
+    return JointFactors(v=matcore.block_toeplitz(_trim(v), rows, kept, n, n),
+                        users=list(zip(matcore.block_toeplitz(_trim(u), rows, kept, n, n),
                                        t_dense)),
                         diag=np.real(np.diag(t_dense[0])), n_ext=n_ext,
                         kept_indices=kept_indices.ravel().tolist())

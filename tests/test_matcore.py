@@ -66,8 +66,6 @@ def test_all_zero_and_tiny_inputs():
         matcore.qr(zero)
     with pytest.raises(NumericalError, match="column residual below"):
         matcore.qr(np.stack([np.eye(2), zero]))
-    with pytest.raises(NumericalError, match="column residual below"):
-        matcore.block_qr(zero, 2)
     with pytest.raises(NumericalError, match="singular to working precision"):
         gtd.gmd(zero)
     assert np.array_equal(multicast.cov_sqrt(zero), zero)
@@ -77,10 +75,9 @@ def test_all_zero_and_tiny_inputs():
     for scale in (1e-280, 1e-300, 1e-305):
         fac = matcore.qr(scale * a)
         stacked = matcore.qr(scale * np.stack([a, a.T]))
-        q, r = matcore.block_qr(scale * a, 3)
         g = gtd.gmd(scale * a)
         b = multicast.cov_sqrt(scale * c)
-        for rec, m in ((fac.q @ (fac.r / scale), a), (q[0] @ (r / scale), a),
+        for rec, m in ((fac.q @ (fac.r / scale), a),
                        (stacked.q[0] @ (stacked.r[0] / scale), a),
                        (stacked.q[1] @ (stacked.r[1] / scale), a.T),
                        (g.u @ (g.r / scale) @ g.v.conj().T, a), (b @ (b.conj().T / scale), c)):
@@ -453,7 +450,7 @@ def test_dumps_rejects_non_finite():
             matcore.dumps({"m": np.array([[1.0, bad]])})
 
 
-# --- block QR -----------------------------------------------------------------
+# --- QR rank threshold ---------------------------------------------------------
 
 
 def _block_upper(rng, n, g, scale=1.0):
@@ -466,37 +463,11 @@ def _block_upper(rng, n, g, scale=1.0):
     return scale * a
 
 
-def _block_diag(blocks):
-    g, n, _ = blocks.shape
-    out = np.zeros((g * n, g * n), dtype=complex)
-    for j in range(g):
-        out[j * n:(j + 1) * n, j * n:(j + 1) * n] = blocks[j]
-    return out
-
-
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 4), g=st.integers(1, 8), log_scale=st.floats(-100.0, 100.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_block_qr_agrees_with_qr(n, g, log_scale, seed):
-    # entries below the diagonal inside a diagonal block are part of the
-    # input
-    a = _block_upper(np.random.default_rng(seed), n, g, 10.0 ** log_scale)
-    q_blocks, r = matcore.block_qr(a, n)
-    ref = matcore.qr(a)
-    q = _block_diag(q_blocks)
-    assert q_blocks.shape == (g, n, n)
-    assert np.linalg.norm(q - ref.q) <= 1e-13 * np.linalg.norm(ref.q)
-    assert np.linalg.norm(r - ref.r) <= 1e-13 * np.linalg.norm(ref.r)
-    assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
-    diag = np.diag(r)
-    assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
-    assert np.all(r[np.tril_indices(n * g, -1)] == 0.0)
-
-
-def test_block_qr_rank_threshold_matches_qr():
-    # a diagonal block u @ diag(1, eps) puts eps on R's diagonal; both QRs
-    # reject it below TOL_RANK * ||a||_F and accept it above, and in a
-    # stack each matrix is held to its own norm
+def test_qr_rank_threshold_is_relative_to_each_matrix():
+    # in a matrix upper triangular in blocks, a diagonal block
+    # u @ diag(1, eps) puts eps on R's diagonal; QR rejects it below
+    # TOL_RANK * ||a||_F and accepts it above, and in a stack each matrix is
+    # held to its own norm
     rng = np.random.default_rng(20)
     n, g = 2, 5
     base = _block_upper(rng, n, g)
@@ -505,23 +476,9 @@ def test_block_qr_rank_threshold_matches_qr():
         eps = ratio * matcore.TOL_RANK * np.linalg.norm(a)
         a[4:6, 4:6] = rand_unitary(rng, 2) @ np.diag([1.0, eps])
         louder = np.stack([1e3 * base, a])
-        for factor in (matcore.qr, lambda m: matcore.block_qr(m, n),
-                       lambda m: matcore.qr(louder), lambda m: matcore.block_qr(louder, n)):
+        for factor in (matcore.qr, lambda m: matcore.qr(louder)):
             if raises:
                 with pytest.raises(NumericalError, match="column residual below"):
                     factor(a)
             else:
                 factor(a)
-
-
-def test_block_qr_needs_the_diagonal_blocks():
-    rng = np.random.default_rng(21)
-    a = _block_upper(rng, 3, 4)
-    for bad, n in ((a[:, :9], 3), (a[:-1, :-1], 3), (a, 5), (a[np.newaxis, :2, :2], 3)):
-        with pytest.raises(DimensionError, match="not square in %d x %d blocks" % (n, n)):
-            matcore.block_qr(bad, n)
-    with pytest.raises(DimensionError, match="expected a matrix or a stack of them"):
-        matcore.block_qr(a[0], 3)
-    a[1, 4] = np.nan
-    with pytest.raises(DimensionError, match="non-finite entries"):
-        matcore.block_qr(a, 3)

@@ -12,9 +12,13 @@ from util import (
     extended_gmd_residual,
     extraction_matrix,
     nearly_kgmd_dense,
+    positions,
     rand_real_det_one,
     rand_unit_det,
     rand_unitary,
+    reorder_indices,
+    select,
+    square_rounds,
 )
 
 TABLE_FRACTIONS = [(1, 3), (37, 100), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (9, 10)]
@@ -182,7 +186,7 @@ def in_place_equal_diag_variant(mats, n_ext):
     core = joint.jet2(mats[0], mats[1])
     apply_right(core.v, n_ext)
     for round_l in range(2, k_rounds + 1):
-        groups = spacetime._reorder_indices(n, k_rounds, n_ext, round_l)
+        groups = reorder_indices(n, k_rounds, n_ext, round_l)
         flat = [i for g in groups for i in g]
         picker = extraction_matrix(t_mats[0].shape[0], flat)
         v_total = v_total @ picker
@@ -420,21 +424,6 @@ def test_nearly_kgmd_never_runs_a_wide_qr(monkeypatch):
         assert max(s[-1] for s in shapes) <= 2
 
 
-def test_nearly_kgmd_reorder_rejects_duplicate_index(monkeypatch):
-    rng = np.random.default_rng(14)
-    mats = [rand_unit_det(rng, 2) for _ in range(3)]
-    reorder = spacetime._reorder_indices
-
-    def duplicating(*args):
-        groups = reorder(*args)
-        groups[1][0] = groups[0][0]
-        return groups
-
-    monkeypatch.setattr(spacetime, "_reorder_indices", duplicating)
-    with pytest.raises(DimensionError, match="listed twice"):
-        spacetime.nearly_kgmd(mats, 8)
-
-
 def test_nearly_kjet_ill_conditioned_families():
     # U diag(sqrt(c), 1/sqrt(c)) W with Haar U and W: the |det| of the
     # quotients that jet2 derives drifts off one with the condition number,
@@ -507,13 +496,13 @@ INVARIANCE_CASES = [(n, k_users, mode, n_ext) for n, k_users, mode, lo, _ in BAN
 
 @pytest.mark.parametrize("n, k_users, mode, n_ext", INVARIANCE_CASES)
 def test_factors_are_the_band_rounds_at_n_itself(n, k_users, mode, n_ext):
-    # the rounds run once at min(N, 2 n^E) and the factors are written
-    # from their first blocks: bitwise what the rounds at N itself hold
+    # the rounds run on the generators and the factors are written from
+    # them: equal to what the rounds on (nN)-square arrays at N hold
     rng = np.random.default_rng([n, k_users, n_ext, 3])
     mats = [rand_unit_det(rng, n) for _ in range(k_users)]
     construct = spacetime.nearly_kgmd if mode == "gmd" else spacetime.nearly_kjet
     fac = construct(mats, n_ext)
-    v, u, t, coords = spacetime._run_rounds(mats, n_ext, mode)
+    v, u, t, coords = square_rounds(mats, n_ext, mode)
     assert np.array_equal(fac.v, v)
     for (got_u, got_t), want_u, want_t in zip(fac.users, u, t, strict=True):
         assert np.array_equal(got_u, want_u) and np.array_equal(got_t, want_t)
@@ -523,28 +512,25 @@ def test_factors_are_the_band_rounds_at_n_itself(n, k_users, mode, n_ext):
 
 
 def test_rounds_cost_does_not_grow_with_n(monkeypatch):
-    # every QR the rounds make at N = 1024 is the one they make at 2 n^E
+    # the rounds run on the generators, whatever N is: one QR per round, of
+    # the stack of the K users' n x n diagonal blocks
     rng = np.random.default_rng(17)
-    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    n, k_users = 2, 3
+    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
     shapes = []
+    factor = matcore.qr
 
-    def recording(name):
-        factor = getattr(matcore, name)
+    def recording(a):
+        shapes.append(np.shape(a))
+        return factor(a)
 
-        def wrapper(a, *args):
-            shapes.append((name, a.shape))
-            return factor(a, *args)
-        return wrapper
-
-    for name in ("qr", "block_qr"):
-        monkeypatch.setattr(matcore, name, recording(name))
-    spacetime.nearly_kgmd(mats, 8)
-    at_twice = shapes.copy()
+    monkeypatch.setattr(matcore, "qr", recording)
+    spacetime.nearly_kgmd(mats, n ** (k_users - 1))
+    at_smallest = shapes.copy()
     shapes.clear()
     fac = spacetime.nearly_kgmd(mats, 1024)
     assert fac.kept_dim == 2 * (1024 - 3)
-    assert shapes == at_twice
-    assert max(s[-1] for _, s in shapes) <= 16
+    assert shapes == at_smallest == [(k_users, n, n)] * k_users
 
 
 def test_nearly_kgmd_peak_memory_is_its_result():
@@ -563,30 +549,70 @@ def test_nearly_kgmd_peak_memory_is_its_result():
 
 
 def test_reorder_rejects_entries_moved_below_the_blocks():
-    # t as after round 1 of (n, K, N) = (2, 3, 8), plus one tiny entry in
-    # one of the two blocks right of a diagonal block: the reordering
-    # raises exactly when t[pos][:, pos] holds that entry below the
-    # diagonal blocks, and otherwise returns that matrix
+    # a t generator as after round 1 of (n, K) = (2, 3), widened by two
+    # blocks, plus one tiny entry right of its diagonal block: the gather
+    # raises exactly when the reordering of the square arrays of
+    # (2, 3, N = 8) moves that entry below the diagonal blocks, and
+    # otherwise returns the first block row of the reordered square array
     n, n_ext, width = 2, 8, 6
     size = n * n_ext
     rng = np.random.default_rng(16)
-    groups = spacetime._reorder_indices(n, 3, n_ext, 2)
-    pos = matcore.positions(size, [i for g in groups for i in g])
-    base = np.zeros((size, size), dtype=complex)
-    for j, block in enumerate(np.triu(rng.standard_normal((n_ext, n, n)) + 3.0)):
-        base[j * n:(j + 1) * n, j * n:(j + 1) * n] = block
+    pos = positions(size, [i for g in reorder_indices(n, 3, n_ext, 2) for i in g])
+    base = np.zeros((n, width), dtype=complex)
+    base[:, :n] = np.triu(rng.standard_normal((n, n)) + 3.0)
     below = np.arange(pos.size)[:, None] // n > np.arange(pos.size)[None, :] // n
+    shift = n ** (3 - 2)        # round l of R moves lane i by i * n^(R - l) blocks
     raised = 0
-    for j, i, c in np.ndindex(n_ext - 1, n, width - n):
-        if n * j + n + c >= size:
-            continue            # right of the last column
-        t = base.copy()
-        t[n * j + i, n * j + n + c] = 1e-300
-        dense = t[np.ix_(pos, pos)]
+    for i, c in np.ndindex(n, width - n):
+        gen = base.copy()
+        gen[i, n + c] = 1e-300
+        dense = matcore.block_toeplitz(gen, size, size, n, n)[np.ix_(pos, pos)]
         if np.any(dense[below]):
             raised += 1
             with pytest.raises(NumericalError, match="moves a nonzero entry below"):
-                spacetime._select(t[np.newaxis], pos, n)
+                spacetime._reorder(np.eye(n)[np.newaxis], gen[np.newaxis], shift)
+            with pytest.raises(NumericalError, match="moves a nonzero entry below"):
+                select(matcore.block_toeplitz(gen, size, size, n, n), pos, n)
         else:
-            assert np.array_equal(spacetime._select(t, pos, n), dense)
-    assert raised
+            _, t = spacetime._reorder(np.eye(n)[np.newaxis], gen[np.newaxis], shift)
+            assert np.array_equal(t[0], dense[:n, :t.shape[-1]])
+            assert not np.any(dense[:n, t.shape[-1]:])
+    assert 0 < raised < n * (width - n)
+
+
+def test_extension_count_must_be_an_integer():
+    # a fraction is refused, not truncated; numpy integers are integers
+    rng = np.random.default_rng(19)
+    mats = [rand_unit_det(rng, 2) for _ in range(3)]
+    for construct in (spacetime.nearly_kgmd, spacetime.nearly_kjet):
+        for bad in (4.9, 8.5, 9.99, "8", True, np.float64(8.0)):
+            with pytest.raises(DimensionError, match="must be an integer"):
+                construct(mats, bad)
+        fac, want = construct(mats, np.int64(8)), construct(mats, 8)
+        assert type(fac.n_ext) is int and fac.n_ext == 8
+        assert np.array_equal(fac.v, want.v) and fac.kept_indices == want.kept_indices
+
+
+@pytest.mark.parametrize("n, k_users, n_ext", [(4, 5, 257), (8, 4, 513)])
+def test_nearly_kgmd_at_large_smallest_extension(n, k_users, n_ext):
+    # n^E = 256 and 512: the rounds' generators stay small (the square
+    # arrays of the rounds would be (nN)-square), and so does the result
+    rng = np.random.default_rng([n, k_users, n_ext])
+    mats = [rand_unit_det(rng, n) for _ in range(k_users)]
+    tracemalloc.start()
+    try:
+        fac = spacetime.nearly_kgmd(mats, n_ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
+    kept = 2 * n
+    assert fac.kept_dim == kept and fac.v.shape == (n * n_ext, kept)
+    assert np.max(np.abs(fac.v.conj().T @ fac.v - np.eye(kept))) <= 1e-13
+    for (u, t), a in zip(fac.users, mats):
+        # ext(A) @ v, one n-row block of v at a time
+        ext_v = (a @ fac.v.reshape(n_ext, n, kept)).reshape(n * n_ext, kept)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(kept))) <= 1e-13
+        assert np.linalg.norm(u.conj().T @ ext_v - t) <= 1e-13 * np.linalg.norm(a)
+        assert np.max(np.abs(np.tril(t, -1))) == 0.0
+        assert np.max(np.abs(np.diag(t) - 1.0)) <= 1e-13

@@ -2,7 +2,8 @@
 independent brute-force search oracles used to cross-check the
 closed-form existence tests, and the reference constructions: the GTD
 pairing sweep done with physical slot swaps, the dense time
-extension, and the closed-form SINR of the SIC receiver.
+extension, the time-extension rounds on square arrays, and the
+closed-form SINR of the SIC receiver.
 
 The oracles deliberately avoid the library's F1/F2 route: they search
 for a unit vector making the required column norms equal to one, over a
@@ -12,8 +13,8 @@ dense grid with multistart local refinement.
 import numpy as np
 from scipy.optimize import minimize
 
-from jtri import joint, matcore, multicast, spacetime
-from jtri.errors import DimensionError
+from jtri import joint, matcore, multicast
+from jtri.errors import DimensionError, NumericalError
 from jtri.gtd import GtdFactors, gmd
 from jtri.joint import JointFactors
 
@@ -181,14 +182,28 @@ def majorization_reference(sigma, dets, sizes):
 # --- extraction and embedding operators -----------------------------------------
 
 
+def positions(n, indices):
+    """0-based int array of the 1-based ``indices``, each in 1..n and
+    none listed twice."""
+    idx = list(indices)
+    seen = set()
+    for i in idx:
+        if not 1 <= i <= n:
+            raise DimensionError("index %r outside 1..%d" % (i, n))
+        if i in seen:
+            raise DimensionError("index %r listed twice" % (i,))
+        seen.add(i)
+    return np.array(idx, dtype=np.int64) - 1
+
+
 def extraction_matrix(n, indices):
     """n-by-k matrix whose columns are the listed standard basis vectors.
 
     ``indices`` are 1-based and must be distinct.  E^H A E picks out the
     submatrix of A at those index pairs, in the listed order, which is
-    A[np.ix_(p, p)] for p = matcore.positions(n, indices).
+    A[np.ix_(p, p)] for p = positions(n, indices).
     """
-    pos = matcore.positions(n, indices)
+    pos = positions(n, indices)
     out = np.zeros((n, pos.size), dtype=np.complex128)
     out[pos, np.arange(pos.size)] = 1.0
     return out
@@ -329,6 +344,125 @@ def gtd_sweep_reference(fac, target):
     return GtdFactors(u=u, r=r, v=v, diag=np.real(np.diag(r)).copy())
 
 
+# --- the time-extension rounds on square arrays ---------------------------------
+
+
+def reorder_indices(n, n_users, n_ext, round_l):
+    """1-based index groups kept by the round-l reordering.
+
+    Group q1 collects one coordinate from each of n hops of stride
+    delta = n^(K-l+1) - 1 starting at coordinate n*q1; consecutive group
+    starts are n apart.  Validated against the fully worked small cases;
+    the group count shrinks with l, which is where the edge coordinates
+    are discarded.
+    """
+    delta = n ** (n_users - round_l + 1) - 1
+    q1_count = n_ext - n ** (n_users - 1) + n ** (n_users - round_l)
+    return [
+        [n + (q1 - 1) * n + (q2 - 1) * delta for q2 in range(1, n + 1)]
+        for q1 in range(1, q1_count + 1)
+    ]
+
+
+def _positive_diagonal(q, r, scale):
+    """The QR convention of matcore.qr, on one factor pair or a stack of
+    them: a diagonal entry of R at or below TOL_RANK * scale is rank
+    deficiency; otherwise unit phases move from R's diagonal into Q's
+    columns, leaving it real and positive, with exact zeros below it."""
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.any(np.abs(diag) <= matcore.TOL_RANK * scale):
+        raise NumericalError("column residual below %g of the input norm" % matcore.TOL_RANK)
+    phases = diag / np.abs(diag)
+    q = q * phases[..., np.newaxis, :]
+    r = phases.conj()[..., :, np.newaxis] * r
+    cols = r.shape[-1]
+    r[..., np.tri(cols, k=-1, dtype=bool)] = 0.0
+    idx = np.arange(cols)
+    r[..., idx, idx] = r[..., idx, idx].real
+    return q, r
+
+
+def _strided_blocks(a, count, shape, row_step, col_step):
+    """The (..., count, h, w) view of the (..., rows, cols) array ``a`` whose
+    block j is the h x w block at row row_step*j and column col_step*j;
+    writing to it writes to ``a``."""
+    *outer, rs, cs = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (*a.shape[:-2], count, *shape), (*outer, row_step * rs + col_step * cs, rs, cs))
+
+
+def block_qr(a, n):
+    """QR of (..., nG, nG) matrices that are upper triangular in aligned
+    n x n blocks: every entry below the diagonal blocks is zero, which is
+    not checked.
+
+    Such a matrix is blockdiag(Q_1, ..., Q_G) @ R: each Q_j is the QR factor
+    of diagonal block j alone, and block row j of R is Q_j^H times block
+    row j.  Returns the (..., G, n, n) stack of the Q_j and R, under the
+    conventions of matcore.qr, with the rank threshold relative to the
+    Frobenius norm of each whole matrix.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    size = m.shape[-1]
+    g = size // n
+    q, r_diag = np.linalg.qr(_strided_blocks(m, g, (n, n), n, n))
+    scale = np.linalg.norm(m, axis=(-2, -1))[..., np.newaxis, np.newaxis]
+    q, r_diag = _positive_diagonal(q, r_diag, scale)
+    r = np.matmul(q.conj().swapaxes(-1, -2), m.reshape(*m.shape[:-2], g, n, size))
+    r = r.reshape(m.shape)
+    _strided_blocks(r, g, (n, n), n, n)[...] = r_diag
+    return q, r
+
+
+def select(t, pos, n):
+    """t[..., pos, :][..., pos], the reordering of the stack of square
+    matrices ``t``; a nonzero entry that would land below the n x n
+    diagonal blocks raises NumericalError, since block_qr takes every such
+    entry to be zero."""
+    out = t[..., pos, :][..., pos]
+    block = np.arange(pos.size) // n
+    if np.any(out[..., block[:, np.newaxis] > block]):
+        raise NumericalError(
+            "the reordering moves a nonzero entry below the %d x %d diagonal blocks" % (n, n))
+    return out
+
+
+def square_rounds(mats, n_ext, mode):
+    """The time-extension rounds at N = ``n_ext`` on (nN)-square arrays:
+    round l's local step is gmd of user l's active n x n block (mode "gmd",
+    K rounds) or jet2 of those of users l and l + 1 (mode "jet", K - 1
+    rounds).  Each QR input is upper triangular in n x n blocks (select
+    keeps the rest zero), so its Q is block diagonal (block_qr).  Returns
+    v, the stacked u_k, the stacked t_k and the kept 1-based coordinates.
+    spacetime's rounds on generators are compared with it."""
+    rounds = len(mats) if mode == "gmd" else len(mats) - 1
+    n = mats[0].shape[0]
+    size = n * n_ext
+
+    def local_v(blocks, k):     # k = l - 1 is the first active user of round l
+        return (gmd(blocks[k]) if mode == "gmd" else joint.jet2(blocks[k], blocks[k + 1])).v
+
+    # round 1 on the matrices themselves, whose extensions are block
+    # diagonal: one n x n QR per user aligns everyone
+    w = local_v(mats, 0)
+    fac = matcore.qr(np.stack(mats) @ w)
+    v, u, t = (matcore.block_toeplitz(b, size, size, n, n) for b in (w, fac.q, fac.r))
+    coords = np.arange(1, size + 1)
+
+    for round_l in range(2, rounds + 1):
+        groups = reorder_indices(n, rounds, n_ext, round_l)
+        pos = positions(coords.size, [i for g in groups for i in g])
+        coords = coords[pos]
+        v, u, t = v[:, pos], u[..., pos], select(t, pos, n)
+        w = local_v(t[:, :n, :n], round_l - 1)
+        q, t = block_qr((t.reshape(-1, n) @ w).reshape(t.shape), n)
+        # u_k @ blockdiag(q_k1, q_k2, ...), one column block per q_kj
+        cols = u.reshape(*u.shape[:-1], -1, n).swapaxes(-3, -2)
+        u = np.matmul(cols, q).swapaxes(-3, -2).reshape(u.shape)
+        v = (v.reshape(-1, n) @ w).reshape(v.shape)
+    return v, u, t, coords
+
+
 # --- dense time-extension oracle ----------------------------------------------
 
 
@@ -368,7 +502,7 @@ def nearly_kgmd_dense(matrices, n_ext, mode="gmd"):
     coords = list(range(1, n * n_ext + 1))
 
     for round_l in range(2, rounds + 1):
-        groups = spacetime._reorder_indices(n, rounds, n_ext, round_l)
+        groups = reorder_indices(n, rounds, n_ext, round_l)
         flat = [i for g in groups for i in g]
         picker = extraction_matrix(t_mats[0].shape[0], flat)
         coords = [coords[i - 1] for i in flat]
