@@ -199,6 +199,8 @@ def _cmd_decompose(args):
         if kind == "block":
             out["boundaries"] = fac.boundaries
     elif kind in ("jet", "kgmd"):
+        if kind == "jet" and len(mats) < 2:
+            raise ParseError("jet expects at least two matrices, got %d" % len(mats))
         construct = joint_mod.kgmd_to_kjet if kind == "jet" else joint_mod.kgmd_exact
         factors = construct(mats)
         out = {
@@ -225,6 +227,8 @@ def _cmd_decompose(args):
 
 def _cmd_spacetime(args):
     mats, _payload = _payload_matrices(_load_payload(args))
+    if args.mode == "jet" and len(mats) < 2:
+        raise ParseError("mode 'jet' expects at least two matrices, got %d" % len(mats))
     if args.mode == "gmd":
         factors = spacetime.nearly_kgmd(mats, args.extensions)
     else:
@@ -374,6 +378,8 @@ def _cmd_simulate(args):
         factors = joint_mod.JointFactors(v=fac.v, users=[(fac.u, fac.r)],
                                          diag=fac.diag)
     else:
+        if len(gs) < 2:
+            raise ParseError("jet factors need at least two users, got %d" % len(gs))
         factors = joint_mod.kgmd_to_kjet(gs)
     reports = multicast.simulate_sic(problem, factors, trials=args.trials,
                                      seed=args.seed)

@@ -207,37 +207,24 @@ def exists_2gmd(a1, a2, r=1.0):
 
 
 def construct_2gmd(a1, a2):
-    """Joint triangularization of a 2x2 unit-det pair with unit diagonals.
-
-    Finds the common null direction of A_k^H A_k - I, completes it to a
-    unitary V, and triangularizes each A_k V by QR.
+    """Joint triangularization of a 2x2 unit-det pair with unit diagonals:
+    kgmd_exact of the pair.  The common null vector of the forms
+    A_k^H A_k - I decides; NotConstructibleError when there is none.
     """
-    m1, m2 = _check_unit_det_pair(a1, a2)
-    s1 = m1.conj().T @ m1 - np.eye(2)
-    s2 = m2.conj().T @ m2 - np.eye(2)
-    return _finish_joint_from_v1([m1, m2], common_null_witness(s1, s2))
-
-
-def _finish_joint_from_v1(mats, v1):
-    """Complete v1 to a unitary V; triangularize every A_k V in one QR call."""
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
-    v = np.column_stack([v1, v2])
-    fac = matcore.qr(np.stack([m @ v for m in mats]))
-    diag = np.mean(np.real(np.diagonal(fac.r, axis1=1, axis2=2)), axis=0)
-    return JointFactors(v=v, users=list(zip(fac.q, fac.r)), diag=diag)
+    return _kgmd_exact_core(_check_unit_det_pair(a1, a2), 2)
 
 
 def kgmd_exact(matrices):
     """Exact joint unit-diagonal triangularization, where available.
 
-    K = 1 is the geometric mean decomposition.  For 2x2 families of any K
-    the common-null-vector route is complete: the factors exist exactly
-    when the forms A_k^H A_k - I share a null vector, and
-    common_null_witness finds one whenever they do.  Identical matrices
-    reduce to the single-matrix case.  Anything else
-    raises NotConstructibleError so callers can fall back to time
-    extensions; for a 2x2 pair that fails the F1 test, its message names
-    the F1 value.
+    K = 1 is the geometric mean decomposition, and so are identical
+    matrices.  For 2x2 families of any K the factors exist exactly when
+    the forms A_k^H A_k - I share a null vector: common_null_witness
+    decides, its vector is completed to a unitary V, and every A_k V is
+    triangularized in one QR call.  Anything else raises
+    NotConstructibleError so callers can fall back to time extensions;
+    when the witness finds no vector and the first two matrices fail the
+    F1 test, the message names the F1 value.
     """
     mats, n = matcore.check_square_set(matrices)
     _check_absdet(mats, unit=True)
@@ -248,21 +235,24 @@ def _kgmd_exact_core(mats, n):
     """kgmd_exact on nonempty square matrices of size n that are taken to
     have unit |det|: kgmd_to_kjet's quotients have it by construction, up
     to a roundoff drift that grows with the condition number."""
-    scale = np.max(np.abs(mats[0]))
-    if all(np.max(np.abs(m - mats[0])) <= matcore.TOL_ZERO * scale for m in mats[1:]):
+    bound = matcore.TOL_ZERO * abs(mats[0]).max()
+    if all(abs(m - mats[0]).max() <= bound for m in mats[1:]):
         fac = gmd(mats[0])
         return JointFactors(v=fac.v, users=[(fac.u, fac.r)] * len(mats), diag=fac.diag)
     if n == 2:
-        f1_val, holds = _pair_condition(mats[0], mats[1])
-        if not holds:
-            raise NotConstructibleError(
-                "exact joint unit-diagonal triangularization does not exist: "
-                "F1 = %.6g < 0" % f1_val)
         try:
             v1 = common_null_witness(*[m.conj().T @ m - np.eye(2) for m in mats])
         except InfeasibleError as exc:
-            raise NotConstructibleError(str(exc)) from exc
-        return _finish_joint_from_v1(mats, v1)
+            f1_val, holds = _pair_condition(mats[0], mats[1])
+            if holds:
+                raise NotConstructibleError(str(exc)) from exc
+            raise NotConstructibleError(
+                "exact joint unit-diagonal triangularization does not exist: "
+                "F1 = %.6g < 0" % f1_val) from exc
+        v = np.array([[v1[0], -np.conj(v1[1])], [v1[1], np.conj(v1[0])]])
+        fac = matcore.qr(np.stack([m @ v for m in mats]))
+        diag = np.mean(np.real(np.diagonal(fac.r, axis1=1, axis2=2)), axis=0)
+        return JointFactors(v=v, users=list(zip(fac.q, fac.r)), diag=diag)
     raise NotConstructibleError(
         "no exact construction known for %d matrices of size %d" % (len(mats), n))
 

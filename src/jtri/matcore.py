@@ -249,18 +249,6 @@ _MARK = "\0jtri-matrix\0"
 _TOKEN = json.dumps(_MARK)
 
 
-def _distinct_pairs(values):
-    """The distinct entries of the complex array ``values``, told apart by
-    their bits, in order of first appearance; and for each entry the index
-    of its value among them."""
-    first = {}
-    # map draws len(first) before each call, so a new key is stored with
-    # the number of keys before it: its index
-    index = np.fromiter(map(first.setdefault, values.view("V16").tolist(),
-                            iter(first.__len__, None)), dtype=np.intp, count=values.size)
-    return np.fromiter(first, dtype="V16", count=len(first)).view(np.complex128), index
-
-
 def _runs(m):
     """The text of ``m``'s [re, im] pairs in row-major order, as json writes
     them, cut into runs of equal pairs: joined, they are the matrix's data.
@@ -282,7 +270,9 @@ def _runs(m):
     edge[0] = edge[count - 1] = edge[count] = True
     edges = edge.nonzero()[0]
     starts = edges[:-1]
-    values, index = _distinct_pairs(flat[starts])
+    # each run takes its pair's text by index, so the pairs' order is free
+    distinct, index = np.unique(flat[starts].view("V16"), return_inverse=True)
+    values = distinct.view(np.complex128)
     if not np.isfinite(values).all():
         raise NumericalError("output holds a non-finite matrix entry")
     texts = np.array([f"[{z.real!r},{z.imag!r}]," for z in values.tolist()], dtype=object)

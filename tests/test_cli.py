@@ -322,6 +322,9 @@ def test_examples_gains_must_be_numbers(gains, capsys):
     (["simulate", "--trials", "100"], {"power": 2.0}),
     (["simulate", "--factors", "svd", "--trials", "100"], {"users": [_H, _H]}),
     (["simulate", "--factors", "gmd", "--trials", "100"], {"users": [_H, _H]}),
+    (["decompose", "--kind", "jet"], {"matrices": [_H]}),
+    (["simulate", "--factors", "jet", "--trials", "100"], {"users": [_H]}),
+    (["spacetime", "--mode", "jet", "--extensions", "4"], {"matrices": [_H]}),
 ])
 def test_wrong_matrix_counts_are_parse_errors(args, inline, capsys):
     code, out, err = run_cli(capsys, args, inline)

@@ -345,7 +345,7 @@ def test_construct_2gmd_near_boundary():
 def test_construct_2gmd_infeasible_raises():
     rng = np.random.default_rng(10)
     a1, a2 = sample_pair(rng, feasible=False)
-    with pytest.raises(InfeasibleError, match="no common null vector"):
+    with pytest.raises(NotConstructibleError, match=r"F1 = -?[0-9.e+-]+ < 0"):
         joint.construct_2gmd(a1, a2)
 
 
@@ -371,6 +371,60 @@ def test_2x2_constructions_hold_unit_diagonals_on_20000_random_pairs(construct):
         worst = max(worst, max(np.max(np.abs(np.real(np.diag(r)) - 1.0)) for r in rs))
     assert built > 13000
     assert worst <= 1e-12
+
+
+def _near_f1_boundary_pairs():
+    """Pairs (a1, m(t)) on both sides of F1 = 0: m(t) runs from a2 to b2,
+    rescaled to unit |det|, and t is bisected to where F1 changes sign."""
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(300):
+        a1, a2, b2 = (rand_unit_det(rng, 2) for _ in range(3))
+        s1 = a1.conj().T @ a1 - np.eye(2)
+
+        def m(t):
+            x = (1 - t) * a2 + t * b2
+            return x / np.sqrt(abs(np.linalg.det(x)))
+
+        def sign(t):
+            x = m(t)
+            return np.sign(joint.f1(s1, x.conj().T @ x - np.eye(2)))
+
+        lo, hi = 0.0, 1.0
+        side = sign(lo)
+        if sign(hi) == side:
+            continue
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if sign(mid) == side else (lo, mid)
+        pairs += [(a1, m(t)) for t in np.linspace(lo - 1e-9, hi + 1e-9, 7)]
+    return pairs
+
+
+def test_construct_2gmd_and_kgmd_exact_agree_near_the_f1_boundary():
+    # 111 of these pairs read F1 just below zero, past the test's
+    # tolerance, yet the witness nulls both forms: one route must build
+    # them, and build them alike
+    pairs = _near_f1_boundary_pairs()
+    assert len(pairs) == 861
+    built = passed_on = 0
+    for a1, a2 in pairs:
+        try:
+            pair = joint.construct_2gmd(a1, a2)
+        except NotConstructibleError as exc:
+            # F1 is named only when it fails its test; else the witness speaks
+            feasible = joint.exists_2gmd(a1, a2)
+            assert ("F1 = " in str(exc)) != feasible
+            passed_on += feasible
+            with pytest.raises(NotConstructibleError):
+                joint.kgmd_exact([a1, a2])
+            continue
+        family = joint.kgmd_exact([a1, a2])
+        built += 1
+        assert np.array_equal(pair.v, family.v)
+        for (u, r), (u_k, r_k) in zip(pair.users, family.users):
+            assert np.array_equal(u, u_k) and np.array_equal(r, r_k)
+    assert (built, passed_on) == (824, 4)
 
 
 def test_kgmd_exact_builds_triples_sharing_a_null_vector():
@@ -465,7 +519,8 @@ def test_kgmd_exact_delegates_to_pair_construction():
     a1, a2 = sample_pair(rng, feasible=True)
     jf = joint.kgmd_exact([a1, a2])
     ref = joint.construct_2gmd(a1, a2)
-    assert np.max(np.abs(jf.v - ref.v)) < 1e-12
+    assert np.array_equal(jf.v, ref.v)
+    assert all(np.array_equal(x, y) for p, q in zip(jf.users, ref.users) for x, y in zip(p, q))
     a1, a2 = sample_pair(rng, feasible=False)
     with pytest.raises(NotConstructibleError):
         joint.kgmd_exact([a1, a2])
