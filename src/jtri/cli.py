@@ -8,14 +8,17 @@ and ``block_dets`` for block).  Output is JSON; ``tables --format csv``
 writes CSV with '.' decimal, ',' separator, LF endings and 12 significant
 digits.
 
-Commands put numpy arrays into their output documents as they are, and
-``matcore.dumps`` writes the JSON: compact, keys sorted, byte for byte what
+Commands put numpy arrays, and ``spacetime`` its matcore.BlockToeplitz
+factors, into their output documents as they are, and ``matcore.dump``
+writes the JSON: compact, keys sorted, byte for byte what
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for the
-document with each array as its matrix object.  That call writes it, with
-a mark string in each array's place that is then replaced by the matrix's
-text, written as runs of equal [re, im] pairs, each distinct pair
-formatted once, so the block-Toeplitz ``spacetime`` factors cost little
-to write.
+document with each matrix as its dense matrix object.  That call writes
+it, with a mark string in each matrix's place that is then replaced by the
+matrix's text, written as runs of equal [re, im] pairs, each distinct pair
+formatted once; a block Toeplitz factor's text is a head, one period's
+text repeated, and a tail, so it is never formed as a dense array.  The
+text is written in pieces, not joined, once every piece is built: a
+command that fails writes nothing.
 No output document holds the mark as a string.  A non-finite number is
 never written: it fails the command with exit 4, in a matrix or as a
 scalar (a non-finite input exits 5), except that ``simulate`` reports an
@@ -100,17 +103,41 @@ def _payload_matrices(payload):
     return mats, payload if isinstance(payload, dict) else {}
 
 
+class _Output:
+    """A command's output as a binary stream: the --out file, created at its
+    first write, so that a command that fails before it writes leaves no
+    file; or stdout's binary buffer, or stdout itself when it has none (a
+    StringIO under contextlib.redirect_stdout), which takes the text."""
+
+    def __init__(self, path):
+        self.path, self.fh = path, None
+
+    def write(self, data):
+        if self.fh is None:
+            self.fh = open(self.path, "wb") if self.path else getattr(sys.stdout, "buffer", None)
+        if self.fh is None:
+            return sys.stdout.write(data.decode("utf-8"))
+        return self.fh.write(data)
+
+    def close(self):
+        if self.path and self.fh is not None:
+            self.fh.close()
+
+
 def _emit(args, obj):
-    """Write a command's output: ``obj`` as JSON and a newline, or as it is
-    when it is already text (the CSV form of ``tables``).  The JSON text and
-    its newline are written one after the other: joined, the text would be
-    copied once more."""
-    parts = [obj] if isinstance(obj, str) else [matcore.dumps(obj), "\n"]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
+    """Write a command's output: ``obj`` as JSON and a newline
+    (:func:`matcore.dump`, whose pieces are written as they are, not joined),
+    or as it is when it is already text (the CSV form of ``tables``)."""
+    sys.stdout.flush()
+    out = _Output(args.out)
+    try:
+        if isinstance(obj, str):
+            out.write(obj.encode("utf-8"))
+        else:
+            matcore.dump(obj, out)
+            out.write(b"\n")
+    finally:
+        out.close()
 
 
 def _flag(kind, ok, need):
@@ -229,10 +256,7 @@ def _cmd_spacetime(args):
     mats, _payload = _payload_matrices(_load_payload(args))
     if args.mode == "jet" and len(mats) < 2:
         raise ParseError("mode 'jet' expects at least two matrices, got %d" % len(mats))
-    if args.mode == "gmd":
-        factors = spacetime.nearly_kgmd(mats, args.extensions)
-    else:
-        factors = spacetime.nearly_kjet(mats, args.extensions)
+    factors = spacetime.toeplitz_factors(mats, args.extensions, args.mode)
     n = factors.n
     kept = factors.kept_dim
     total = n * factors.n_ext

@@ -3,13 +3,17 @@
 multiplicative majorization, the shared input checks, and the JSON matrix
 interchange format.
 
-Matrices are numpy ``complex128`` 2-D arrays throughout the package.
+Matrices are numpy ``complex128`` 2-D arrays throughout the package, but
+for the BlockToeplitz factors of ``spacetime.toeplitz_factors``.
 Index lists crossing the API (kept indices) are 1-based; numpy storage is
 0-based internally.
 
 A matrix is the JSON object {"rows": n, "cols": m, "data": [[re, im], ...]},
 row-major.  :func:`dumps` writes JSON text (json's encoder, with each
-matrix's text in place of a mark string); :func:`matrix_from_json` reads one.
+matrix's text in place of a mark string), and :func:`dump` writes the same
+text to a binary stream in pieces; :func:`matrix_from_json` reads one.  A
+:class:`BlockToeplitz` is written from its generator: a head, one period's
+text repeated, and a tail.
 """
 
 import json
@@ -133,22 +137,59 @@ def adjugate(a):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-def block_toeplitz(block, rows, cols, row_step, col_step):
+@dataclass
+class BlockToeplitz:
     """The (..., rows, cols) matrices holding ``block`` (..., h, w) at row
     row_step*j and column col_step*j for every j whose block starts inside
-    the matrix, cut at its edge, and zeros elsewhere: one copy into a
-    strided view of the output, then the few cut blocks."""
-    *stack, h, w = block.shape
-    out = np.zeros((*stack, rows, cols), dtype=np.complex128)
-    whole = min((rows - h) // row_step, (cols - w) // col_step) + 1
-    *outer, rs, cs = out.strides
-    np.lib.stride_tricks.as_strided(
-        out, (*stack, whole, h, w), (*outer, row_step * rs + col_step * cs, rs, cs)
-    )[...] = block[..., np.newaxis, :, :]
-    for j in range(whole, min(-(-rows // row_step), -(-cols // col_step))):
-        cut = out[..., row_step * j:row_step * j + h, col_step * j:col_step * j + w]
-        cut[...] = block[..., :cut.shape[-2], :cut.shape[-1]]
-    return out
+    the matrix, cut at its edge, and zeros elsewhere.  The blocks may not
+    overlap: h <= row_step or w <= col_step."""
+    block: np.ndarray
+    rows: int
+    cols: int
+    row_step: int
+    col_step: int
+
+    def __post_init__(self):
+        if self.block.ndim < 2:
+            raise DimensionError("the generator must be a block or a stack of them, got ndim=%d"
+                                 % self.block.ndim)
+        h, w = self.block.shape[-2:]
+        if min(self.rows, self.cols) < 0 or min(self.row_step, self.col_step) < 1:
+            raise DimensionError("a block Toeplitz matrix needs sizes >= 0 and steps >= 1")
+        if h > self.row_step and w > self.col_step:
+            raise DimensionError("%d x %d blocks at steps (%d, %d) overlap"
+                                 % (h, w, self.row_step, self.col_step))
+
+    @property
+    def shape(self):
+        return (*self.block.shape[:-2], self.rows, self.cols)
+
+    def to_dense(self):
+        """The dense complex128 matrices."""
+        return self._rows(0, self.rows, np.asarray(self.block, dtype=np.complex128))
+
+    def _rows(self, start, stop, block):
+        """Rows start..stop-1 of the matrices with ``block``, of the
+        generator's shape, in its place, as a view of zeros that run on
+        above and below them far enough to hold every block that reaches
+        them: one copy into a strided view places all of these but the few
+        cut at the right edge."""
+        *stack, h, w = block.shape
+        p, q = self.row_step, self.col_step
+        first = max((start - h) // p + 1, 0)        # the first block to reach row start
+        past = max(min(-(-stop // p), -(-self.cols // q)), first)
+        whole = max(min(past, (self.cols - w) // q + 1) - first, 0)
+        top = min(p * first, start)
+        out = np.zeros((*stack, max(stop, p * past + h) - top, self.cols), dtype=block.dtype)
+        if whole:
+            *outer, rs, cs = out.strides
+            np.ndarray((*stack, whole, h, w), out.dtype, out,
+                       (p * first - top) * rs + q * first * cs,
+                       (*outer, p * rs + q * cs, rs, cs))[...] = block[..., np.newaxis, :, :]
+        for j in range(first + whole, past):
+            cut = out[..., p * j - top:p * j - top + h, q * j:q * j + w]
+            cut[...] = block[..., :cut.shape[-1]]
+        return out[..., start - top:stop - top, :]
 
 
 def time_extend(a, n_ext):
@@ -163,7 +204,7 @@ def time_extend(a, n_ext):
         raise DimensionError("n_ext must be >= 1")
     rows, cols = m.shape
     # an empty block has nothing to place; a step of 0 would divide by zero
-    return block_toeplitz(m, n_ext * rows, n_ext * cols, max(rows, 1), max(cols, 1))
+    return BlockToeplitz(m, n_ext * rows, n_ext * cols, max(rows, 1), max(cols, 1)).to_dense()
 
 
 def first_failing_group(sigma, log_products, sizes=None):
@@ -249,60 +290,114 @@ _MARK = "\0jtri-matrix\0"
 _TOKEN = json.dumps(_MARK)
 
 
-def _runs(m):
-    """The text of ``m``'s [re, im] pairs in row-major order, as json writes
-    them, cut into runs of equal pairs: joined, they are the matrix's data.
+def _edges(keys, last):
+    """Where the runs of equal rows of ``keys`` (n x k integers) start, and
+    n; with ``last``, the last row is a run of its own."""
+    count = len(keys)
+    edge = np.empty(count + 1, dtype=bool)
+    np.not_equal(keys[1:, 0], keys[:-1, 0], out=edge[1:count])
+    for column in keys.T[1:]:
+        edge[1:count] |= column[1:] != column[:-1]
+    edge[0] = edge[count] = True
+    edge[count - 1] |= last
+    return edge.nonzero()[0]
+
+
+def _texts(distinct, shown):
+    """The text "[re,im]," of each pair of ``distinct`` (V16), as json
+    writes its floats; NumericalError if one at ``shown`` is not finite."""
+    values = distinct.view(np.complex128)
+    if not np.isfinite(values[shown]).all():
+        raise NumericalError("output holds a non-finite matrix entry")
+    return np.array([f"[{z.real!r},{z.imag!r}],".encode() for z in values.tolist()],
+                    dtype=object)
+
+
+def _join(texts, edges, last):
+    """The text of the runs between consecutive ``edges``, each its pair's
+    text in ``texts`` repeated; with ``last``, without the last comma."""
+    runs = (texts * (edges[1:] - edges[:-1])).tolist()
+    if last:
+        runs[-1] = runs[-1][:-1]
+    return b"".join(runs)
+
+
+def _matrix(m):
+    """The text of the 2-D ndarray or BlockToeplitz ``m`` as a matrix
+    object, in pieces: its [re, im] pairs in row-major order as json writes
+    them, in runs of equal pairs.
 
     Pairs are equal when the bits of re and im are, so 0.0 and -0.0 stay
-    apart.  Each distinct pair among the runs is formatted once, and a run
-    is its pair's text repeated: past O(entries) numpy work, the cost is in
-    proportion to the runs and the distinct pairs.
+    apart, and a run is its pair's text repeated.  An ndarray's runs are
+    found on its pairs' bits, and each distinct pair among them is
+    formatted once.  For a BlockToeplitz, each distinct pair of the
+    generator, and the zero pair, is formatted once, and the runs are
+    found on the pairs' labels, laid out as ``m`` lays out its entries.
+    Read row-major, ``m`` repeats with a period of row_step*cols + col_step
+    entries: entry f is entry f + period wherever the blocks that cover the
+    two are whole, from where the first block's span has passed one period
+    (block -1 would reach that far) to the end of the last whole block.
+    When that skips at least half the entries, the text is the entries
+    before that stretch, one period's text repeated, and the entries after
+    it, and only their rows are laid out.  The period comes first, so that
+    a text too large to hold fails at its repeat.
     """
-    flat = np.ascontiguousarray(m).reshape(-1)
-    count = flat.size
-    if count == 0:
-        return []
-    pairs = flat.view(np.int64).reshape(count, 2)
-    differ = pairs[1:] != pairs[:-1]
-    edge = np.empty(count + 1, dtype=bool)
-    np.logical_or(differ[:, 0], differ[:, 1], out=edge[1:count])
-    # the last pair is a run of its own: its text alone has no comma
-    edge[0] = edge[count - 1] = edge[count] = True
-    edges = edge.nonzero()[0]
-    starts = edges[:-1]
-    # each run takes its pair's text by index, so the pairs' order is free
-    distinct, index = np.unique(flat[starts].view("V16"), return_inverse=True)
-    values = distinct.view(np.complex128)
-    if not np.isfinite(values).all():
-        raise NumericalError("output holds a non-finite matrix entry")
-    texts = np.array([f"[{z.real!r},{z.imag!r}]," for z in values.tolist()], dtype=object)
-    runs = (texts[index] * (edges[1:] - starts)).tolist()
-    runs[-1] = runs[-1][:-1]
-    return runs
+    rows, cols = m.shape
+    pieces = [b'{"cols":%d,"data":[' % cols, b'],"rows":%d}' % rows]
+    size = rows * cols
+    if size == 0:
+        return pieces
+    if isinstance(m, np.ndarray):
+        flat = np.ascontiguousarray(m).reshape(-1)
+        edges = _edges(flat.view(np.int64).reshape(size, 2), True)
+        distinct, index = np.unique(flat[edges[:-1]].view("V16"), return_inverse=True)
+        pieces[1:1] = [_join(_texts(distinct, slice(None))[index], edges, True)]
+        return pieces
+    h, w = m.block.shape
+    distinct, ids = np.unique(np.concatenate((np.asarray(m.block, dtype=np.complex128).reshape(-1),
+                                              [0j])).view("V16"), return_inverse=True)
+    zero, ids = ids[-1], ids[:-1].reshape(h, w)
+    # the first block is cut the least: it holds every pair the matrix does
+    texts = _texts(distinct, ids[:rows, :cols])
+    # the entries' labels: the zero pair's is 0, that of a layout's zeros
+    labels = ids - zero
+
+    def text(lo, hi):
+        """The text of the entries at row-major positions lo..hi-1."""
+        layout = m._rows(lo // cols, -(-hi // cols), labels).reshape(-1)[lo % cols:][:hi - lo]
+        edges = _edges(layout[:, np.newaxis], hi == size)
+        return _join(texts[layout[edges[:-1]] + zero], edges, hi == size)
+
+    period = m.row_step * cols + m.col_step
+    whole = min((rows - h) // m.row_step, (cols - w) // m.col_step) + 1
+    start = max((h - 1) * cols + w - period, 0)
+    repeats = (min(whole * period, size) - start) // period
+    # the last entries are written apart
+    if start + repeats * period == size:
+        repeats -= 1
+    # the period is laid out once; repeating it pays when that skips at
+    # least half the entries
+    if 2 * (repeats - 1) * period < size:
+        pieces[1:1] = [text(0, size)]
+    else:
+        body = text(start, start + period) * repeats
+        pieces[1:1] = [text(0, start) if start else b"", body,
+                       text(start + repeats * period, size)]
+    return pieces
 
 
-def dumps(obj):
-    """Compact JSON text of ``obj`` with every ndarray as its matrix object
-    (each float in its shortest round-trip form), written by
-    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``: its
-    ``default`` hook writes each matrix in runs (:func:`_runs`) and hands json
-    the mark ``"\\0jtri-matrix\\0"``, whose quoted form in json's text is
-    then replaced by the matrix's text.  With arrays, a key or string ending
-    with the mark raises ValueError; without, the text is json's.  A
-    non-finite number raises NumericalError.
-    """
+def _document(obj):
+    """The text of ``obj`` as :func:`dumps` writes it, in bytes pieces."""
     matrices = []
 
     def matrix(o):
-        if not isinstance(o, np.ndarray):
+        if isinstance(o, np.ndarray):
+            o = np.asarray(o, dtype=np.complex128)
+        elif not isinstance(o, BlockToeplitz):
             raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
-        m = np.asarray(o, dtype=np.complex128)
-        if m.ndim != 2:
-            raise DimensionError("expected a 2-D matrix, got ndim=%d" % m.ndim)
-        # the runs are joined once _runs has returned, and its arrays are
-        # freed; head, runs and tail stay apart so the text is not copied
-        matrices.append(('{"cols":%d,"data":[' % m.shape[1], "".join(_runs(m)),
-                         '],"rows":%d}' % m.shape[0]))
+        if len(o.shape) != 2:
+            raise DimensionError("expected a 2-D matrix, got ndim=%d" % len(o.shape))
+        matrices.append(_matrix(o))
         return _MARK
 
     try:
@@ -310,14 +405,34 @@ def dumps(obj):
                           default=matrix)
     except ValueError as exc:
         raise NumericalError("output holds a non-finite number: %s" % exc) from exc
-    if not matrices:
-        return text
-    parts = text.split(_TOKEN)
+    parts = text.split(_TOKEN) if matrices else [text]
     if len(parts) != len(matrices) + 1:
         raise ValueError("the document holds %d arrays and %d quoted marks %r: a key or "
                          "string ends with the mark" % (len(matrices), len(parts) - 1, _MARK))
-    out = parts[:1]
+    out = [parts[0].encode()]
     for pieces, part in zip(matrices, parts[1:]):
         out.extend(pieces)
-        out.append(part)
-    return "".join(out)
+        out.append(part.encode())
+    return out
+
+
+def dumps(obj):
+    """Compact JSON text of ``obj`` with every ndarray and every 2-D
+    :class:`BlockToeplitz` as its matrix object (each float in its shortest
+    round-trip form), written by ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``: its ``default`` hook writes each matrix in
+    pieces (:func:`_matrix`) and hands json the mark ``"\\0jtri-matrix\\0"``,
+    whose quoted form in json's text is then replaced by the matrix's text.
+    With matrices, a key or string ending with the mark raises ValueError;
+    without, the text is json's.  A non-finite number raises
+    NumericalError.
+    """
+    return b"".join(_document(obj)).decode("ascii")
+
+
+def dump(obj, fp):
+    """Write the text of ``dumps(obj)`` to the binary stream ``fp``, piece
+    by piece and not joined.  Every piece is built before the first is
+    written, so a document that fails writes nothing."""
+    for piece in _document(obj):
+        fp.write(piece)

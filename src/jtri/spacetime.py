@@ -25,8 +25,9 @@ right by n and cut at the matrix edge (R rounds, E = R - 1).  So the
 rounds run on these generators alone, whatever N is: a round is one
 gather that reorders them, the local step on the diagonal blocks, one
 stacked n x n QR of the K users' diagonal blocks, and small matmuls.  The
-dense factors are written from the generators by strided block copies
-(matcore.block_toeplitz).
+factors are matcore.BlockToeplitz matrices on these generators
+(toeplitz_factors); nearly_kgmd and nearly_kjet write them out as dense
+arrays, by strided block copies.
 
 nearly_kjet, for K matrices of equal |det|, runs the same rounds with
 joint.jet2 as the local step: K - 1 rounds, round l equalizing the active
@@ -132,7 +133,12 @@ def _trim(block):
     return block[..., :rows, :cols]
 
 
-def _rounds(matrices, n_ext, mode):
+def toeplitz_factors(matrices, n_ext, mode):
+    """The factors of :func:`nearly_kgmd` (mode "gmd") or
+    :func:`nearly_kjet` (mode "jet") on the rounds' generators: JointFactors
+    whose v, u_k and t_k are matcore.BlockToeplitz matrices, with ``diag``
+    and ``kept_indices`` as there.  Past those two N-long lists, its cost
+    and memory do not grow with N."""
     mats, n = matcore.check_square_set(matrices)
     k_users = len(mats)
     min_ext = discarded_uses(n, k_users, mode) + 1
@@ -148,15 +154,27 @@ def _rounds(matrices, n_ext, mode):
             % (min_ext, k_users, n, n_ext))
     v, u, t, first = _run_rounds(mats, mode)
     rows, kept = n * n_ext, n * (n_ext - min_ext + 1)
-    # the factors are block Toeplitz, written from the generators; those of
-    # v and the u_k have at most n * min_ext rows, so only t_k's is cut
-    t_dense = matcore.block_toeplitz(_trim(t[..., :kept]), kept, kept, n, n)
+    # the generators of v and the u_k have at most n * min_ext rows, so
+    # only t_k's is cut
+    u, t = _trim(u), _trim(t[..., :kept])
     kept_indices = first + np.arange(0, kept, n)[:, np.newaxis]
-    return JointFactors(v=matcore.block_toeplitz(_trim(v), rows, kept, n, n),
-                        users=list(zip(matcore.block_toeplitz(_trim(u), rows, kept, n, n),
-                                       t_dense)),
-                        diag=np.real(np.diag(t_dense[0])), n_ext=n_ext,
+    return JointFactors(v=matcore.BlockToeplitz(_trim(v), rows, kept, n, n),
+                        users=[(matcore.BlockToeplitz(u_k, rows, kept, n, n),
+                                matcore.BlockToeplitz(t_k, kept, kept, n, n))
+                               for u_k, t_k in zip(u, t)],
+                        diag=np.tile(np.real(np.diag(t[0, :, :n])), kept // n), n_ext=n_ext,
                         kept_indices=kept_indices.ravel().tolist())
+
+
+def _dense(factors):
+    """``factors`` with its BlockToeplitz factors as dense arrays, the
+    users' u_k, and their t_k, written as one stack (their generators share
+    a shape): one large array allocates much faster than K."""
+    factors.v = factors.v.to_dense()
+    u, t = (matcore.BlockToeplitz(np.array([m.block for m in ms]), *ms[0].shape, ms[0].row_step,
+                                  ms[0].col_step).to_dense() for ms in zip(*factors.users))
+    factors.users = list(zip(u, t))
+    return factors
 
 
 def nearly_kgmd(matrices, n_ext):
@@ -167,7 +185,7 @@ def nearly_kgmd(matrices, n_ext):
     have n*n_ext rows and orthonormal columns; the triangular parts are
     n*(n_ext - (n^(K-1) - 1)) wide with all diagonal entries 1.
     """
-    return _rounds(matrices, n_ext, "gmd")
+    return _dense(toeplitz_factors(matrices, n_ext, "gmd"))
 
 
 def nearly_kjet(matrices, n_ext):
@@ -180,7 +198,7 @@ def nearly_kjet(matrices, n_ext):
     their GMD carries that error to every kept coordinate, up to 1.1e-5
     relative at c = 1e6 (2.6e-7 at 1e5).  The result does not report it.
     """
-    return _rounds(matrices, n_ext, "jet")
+    return _dense(toeplitz_factors(matrices, n_ext, "jet"))
 
 
 def extension_futile_2x2(a1, a2):

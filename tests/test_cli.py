@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import jtri
-from jtri import cli, errors, matcore
+from jtri import cli, errors, matcore, spacetime
 from util import matrix_to_json_per_entry, per_entry_document, rand_complex, rand_unit_det
 
 
@@ -241,7 +243,7 @@ def test_every_error_class_exits_with_its_category(cls, capsys, monkeypatch):
     def failing(*args):
         raise cls("boom") if cls is not MemoryError else MemoryError
 
-    monkeypatch.setattr(cli.spacetime, "nearly_kgmd", failing)
+    monkeypatch.setattr(cli.spacetime, "toeplitz_factors", failing)
     got, out, err = run_cli(capsys, ["spacetime", "--extensions", "1000000"],
                             {"matrices": [mat_json(np.eye(2))]})
     message = "out of memory" if cls is MemoryError else "boom"
@@ -484,15 +486,15 @@ def test_output_file_round_trip(tmp_path, capsys):
 
 
 def _spy_documents(monkeypatch):
-    """Record every document the CLI hands to matcore.dumps."""
+    """Record every document the CLI hands to matcore.dump."""
     docs = []
-    dumps = matcore.dumps
+    dump = matcore.dump
 
-    def spy(obj):
+    def spy(obj, fp):
         docs.append(obj)
-        return dumps(obj)
+        return dump(obj, fp)
 
-    monkeypatch.setattr(matcore, "dumps", spy)
+    monkeypatch.setattr(matcore, "dump", spy)
     return docs
 
 
@@ -521,9 +523,9 @@ def test_whole_output_matches_per_entry_encoder(args, mats, capsys, monkeypatch)
 
 
 def test_dumps_peak_memory_is_twice_its_text(capsys, monkeypatch):
-    # the time-extension document (n=2, K=3, N=64): the writer holds one
-    # matrix's runs at a time, so its traced peak is the text and the list
-    # of per-matrix texts it is joined from
+    # the time-extension document (n=2, K=3, N=64): the writer's pieces are
+    # the text in all, so its traced peak is the pieces and the text they
+    # are joined into
     docs = _spy_documents(monkeypatch)
     payload = {"matrices": [mat_json(m) for m in ([[2, 1], [1, 1]], [[1, 1j], [0, 1]], _C)]}
     code, _out, _ = run_cli(capsys, ["spacetime", "--mode", "gmd", "--extensions", "64"],
@@ -537,6 +539,94 @@ def test_dumps_peak_memory_is_twice_its_text(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * len(text)
+
+
+# the golden corpus's unit-|det| matrices A, D and C
+_ADC = {"matrices": [mat_json(m) for m in ([[2, 1], [1, 1]], [[1, 1j], [0, 1]], _C)]}
+
+
+def _dense_spacetime_text(mode, n_ext):
+    """The spacetime document of the A, D, C input written by matcore.dumps
+    from the dense nearly_kgmd or nearly_kjet factors."""
+    mats = [matcore.matrix_from_json(m) for m in _ADC["matrices"]]
+    fac = (spacetime.nearly_kgmd if mode == "gmd" else spacetime.nearly_kjet)(mats, n_ext)
+    n = fac.n
+    return matcore.dumps({
+        "mode": mode, "n": n, "users_count": len(fac.users), "extensions": n_ext,
+        "kept_dim": fac.kept_dim, "efficiency": fac.kept_dim / (n * n_ext),
+        "min_extensions": spacetime.discarded_uses(n, len(mats), mode) + 1,
+        "kept_indices": fac.kept_indices, "v": fac.v,
+        "users": [{"u": u, "t": t} for u, t in fac.users],
+        "diag": [float(d) for d in fac.diag]})
+
+
+@pytest.mark.parametrize("mode, n_ext", [
+    (mode, n_ext) for mode, low in (("gmd", 4), ("jet", 2))
+    for n_ext in [*range(low, low + 8), 64, 300]])
+def test_spacetime_writes_the_dense_factors_text(mode, n_ext, capsys):
+    code, out, _ = run_cli(capsys, ["spacetime", "--mode", mode, "--extensions", str(n_ext)],
+                           _ADC)
+    assert code == 0
+    assert out == _dense_spacetime_text(mode, n_ext) + "\n"
+
+
+@pytest.mark.parametrize("n_ext", [4, 9, 64])
+def test_spacetime_forms_no_dense_factor(n_ext, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a dense factor was formed")
+
+    want = _dense_spacetime_text("gmd", n_ext) + "\n"
+    monkeypatch.setattr(matcore.BlockToeplitz, "to_dense", refuse)
+    code, out, _ = run_cli(capsys, ["spacetime", "--mode", "gmd", "--extensions", str(n_ext)],
+                           _ADC)
+    assert (code, out) == (0, want)
+
+
+def test_spacetime_memory_is_its_text(tmp_path, capsys):
+    # every piece is built before the first is written, so the peak is the
+    # text and what is formed besides it: a few rows of each factor
+    out_path = tmp_path / "st.json"
+    argv = ["spacetime", "--mode", "gmd", "--extensions", "256", "--out", str(out_path)]
+    tracemalloc.start()
+    try:
+        code, _out, _ = run_cli(capsys, argv, _ADC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.3 * out_path.stat().st_size
+
+
+def test_output_to_a_stdout_without_a_binary_buffer(capsys):
+    # contextlib.redirect_stdout hands the CLI a StringIO, which takes text
+    for args, inline in ((["spacetime", "--extensions", "5"], _ADC),
+                         (["tables", "--format", "csv"], None)):
+        code, want, _ = run_cli(capsys, args, inline)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert run_cli(capsys, args, inline)[0] == code == 0
+        assert text.getvalue() == want
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_spacetime_too_large_fails_fast_under_a_memory_limit(tmp_path):
+    # a million extensions would write about 40 TB: the repeat of the first
+    # factor's period fails, before the output is opened
+    out_path = tmp_path / "huge.json"
+    src = os.path.dirname(os.path.dirname(jtri.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "jtri", "spacetime", "--extensions", "1000000",
+         "--inline", json.dumps(_ADC), "--out", str(out_path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=30)
+    assert done.returncode == cli.EXIT_NUMERICAL
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
+    assert not out_path.exists()
 
 
 def test_non_finite_scalar_output_is_numerical_failure(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -448,6 +449,126 @@ def test_dumps_rejects_non_finite():
             matcore.dumps({"m": np.eye(2), "x": [1.0, bad]})
         with pytest.raises(NumericalError):
             matcore.dumps({"m": np.array([[1.0, bad]])})
+
+
+# --- block Toeplitz matrices ---------------------------------------------------
+
+
+def _toeplitz_reference(block, rows, cols, row_step, col_step):
+    """The dense block Toeplitz matrix, one block at a time."""
+    out = np.zeros((rows, cols), dtype=complex)
+    j = 0
+    while row_step * j < rows and col_step * j < cols:
+        cut = out[row_step * j:row_step * j + block.shape[0],
+                  col_step * j:col_step * j + block.shape[1]]
+        cut[...] = block[:cut.shape[0], :cut.shape[1]]
+        j += 1
+    return out
+
+
+@st.composite
+def _toeplitz(draw, pool=None):
+    """BlockToeplitz matrices on generators of 0..4 rows and columns made of
+    a few pairs (signed zeros among them, and repeated), at steps 1..4
+    with h <= row_step or w <= col_step, up to 40 x 40: blocks cut at the
+    right or bottom edge, matrices shorter than one period, 0 x k and
+    k x 0 matrices."""
+    pool = draw(_pair_pools()) if pool is None else pool
+    row_step, col_step = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        h, w = draw(st.integers(0, row_step)), draw(st.integers(0, 4))
+    else:
+        h, w = draw(st.integers(0, 4)), draw(st.integers(0, col_step))
+    block = np.array(draw(st.lists(st.sampled_from(pool), min_size=h * w, max_size=h * w)),
+                     dtype=np.complex128).reshape(h, w)
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    return matcore.BlockToeplitz(block, rows, cols, row_step, col_step)
+
+
+def _densified(doc):
+    if isinstance(doc, matcore.BlockToeplitz):
+        return doc.to_dense()
+    if isinstance(doc, dict):
+        return {key: _densified(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_densified(value) for value in doc)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=_toeplitz())
+def test_block_toeplitz_to_dense_places_each_block(m):
+    assert m.shape == (m.rows, m.cols)
+    dense = m.to_dense()
+    want = _toeplitz_reference(m.block, m.rows, m.cols, m.row_step, m.col_step)
+    assert dense.shape == m.shape
+    assert np.array_equal(dense.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_dumps_of_generators_is_dumps_of_dense(data):
+    pool = data.draw(_pair_pools())
+    doc = data.draw(st.lists(st.one_of(_toeplitz(pool), st.sampled_from([1.5, "x", None])),
+                             min_size=1, max_size=4))
+    doc = {"m": doc[0], "rest": doc[1:]}
+    text = matcore.dumps(_densified(doc))
+    assert matcore.dumps(doc) == text
+    stream = io.BytesIO()
+    matcore.dump(doc, stream)
+    assert stream.getvalue() == text.encode()
+
+
+def test_dumps_of_long_generators_repeats_one_period():
+    # factor-shaped generators, long enough that the text is a head, one
+    # period repeated and a tail
+    rng = np.random.default_rng(5)
+    block = np.triu(rand_complex(rng, 2, 8))
+    block[1, 3] = complex(-0.0, 0.0)
+    for m in (matcore.BlockToeplitz(block, 200, 200, 2, 2),
+              matcore.BlockToeplitz(block.T.copy(), 300, 290, 2, 2),
+              matcore.BlockToeplitz(block[:, :3], 97, 151, 2, 5)):
+        assert matcore.dumps(m) == matcore.dumps(m.to_dense()) == _oracle_text(m.to_dense())
+
+
+def test_block_toeplitz_rejects_overlap_and_bad_sizes():
+    with pytest.raises(DimensionError, match="overlap"):
+        matcore.BlockToeplitz(np.ones((3, 3)), 9, 9, 2, 2)
+    for args in ((9, 9, 0, 2), (-1, 9, 2, 2), (9, 9, 2, 0)):
+        with pytest.raises(DimensionError):
+            matcore.BlockToeplitz(np.ones((2, 2)), *args)
+    with pytest.raises(DimensionError, match="stack"):
+        matcore.BlockToeplitz(np.ones(2), 4, 4, 2, 2)
+
+
+def test_block_toeplitz_stack_is_its_matrices():
+    # a stack of generators is the stack of their matrices; the writer
+    # takes one matrix at a time
+    rng = np.random.default_rng(6)
+    blocks = rand_complex(rng, 6, 2).reshape(3, 2, 2)
+    stack = matcore.BlockToeplitz(blocks, 9, 7, 2, 3)
+    assert stack.shape == (3, 9, 7)
+    assert np.array_equal(stack.to_dense(), np.stack(
+        [matcore.BlockToeplitz(b, 9, 7, 2, 3).to_dense() for b in blocks]))
+    with pytest.raises(DimensionError, match="2-D"):
+        matcore.dumps({"m": stack})
+
+
+def test_dumps_of_generators_rejects_non_finite():
+    # an entry the matrix holds, whether the writer repeats it or not, and
+    # one that every block cuts off, which the matrix does not hold
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        block = np.ones((2, 4), dtype=complex)
+        block[1, 2] = bad
+        for size in (4, 100):
+            m = matcore.BlockToeplitz(block, size, size, 2, 2)
+            for doc in (m, m.to_dense()):
+                with pytest.raises(NumericalError, match="non-finite"):
+                    matcore.dumps({"m": doc})
+        block = np.ones((4, 2), dtype=complex)
+        block[3, 0] = bad
+        m = matcore.BlockToeplitz(block, 3, 60, 3, 2)
+        assert matcore.dumps(m) == matcore.dumps(m.to_dense())
 
 
 # --- QR rank threshold ---------------------------------------------------------

@@ -566,13 +566,13 @@ def test_reorder_rejects_entries_moved_below_the_blocks():
     for i, c in np.ndindex(n, width - n):
         gen = base.copy()
         gen[i, n + c] = 1e-300
-        dense = matcore.block_toeplitz(gen, size, size, n, n)[np.ix_(pos, pos)]
+        dense = matcore.BlockToeplitz(gen, size, size, n, n).to_dense()[np.ix_(pos, pos)]
         if np.any(dense[below]):
             raised += 1
             with pytest.raises(NumericalError, match="moves a nonzero entry below"):
                 spacetime._reorder(np.eye(n)[np.newaxis], gen[np.newaxis], shift)
             with pytest.raises(NumericalError, match="moves a nonzero entry below"):
-                select(matcore.block_toeplitz(gen, size, size, n, n), pos, n)
+                select(matcore.BlockToeplitz(gen, size, size, n, n).to_dense(), pos, n)
         else:
             _, t = spacetime._reorder(np.eye(n)[np.newaxis], gen[np.newaxis], shift)
             assert np.array_equal(t[0], dense[:n, :t.shape[-1]])

@@ -255,7 +255,10 @@ def matrix_to_json_per_entry(a):
 
 
 def per_entry_document(obj):
-    """``obj`` with every ndarray replaced by its per-entry matrix object."""
+    """``obj`` with every ndarray and every matcore.BlockToeplitz replaced
+    by its per-entry matrix object."""
+    if isinstance(obj, matcore.BlockToeplitz):
+        return matrix_to_json_per_entry(obj.to_dense())
     if isinstance(obj, np.ndarray):
         return matrix_to_json_per_entry(obj)
     if isinstance(obj, dict):
@@ -446,7 +449,9 @@ def square_rounds(mats, n_ext, mode):
     # diagonal: one n x n QR per user aligns everyone
     w = local_v(mats, 0)
     fac = matcore.qr(np.stack(mats) @ w)
-    v, u, t = (matcore.block_toeplitz(b, size, size, n, n) for b in (w, fac.q, fac.r))
+    v = matcore.BlockToeplitz(w, size, size, n, n).to_dense()
+    u, t = (np.stack([matcore.BlockToeplitz(b, size, size, n, n).to_dense() for b in blocks])
+            for blocks in (fac.q, fac.r))
     coords = np.arange(1, size + 1)
 
     for round_l in range(2, rounds + 1):
