@@ -9,20 +9,12 @@ writes CSV with '.' decimal, ',' separator, LF endings and 12 significant
 digits.
 
 Commands put numpy arrays, and ``spacetime`` its matcore.BlockToeplitz
-factors, into their output documents as they are, and ``matcore.dump``
-writes the JSON: compact, keys sorted, byte for byte what
-``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for the
-document with each matrix as its dense matrix object.  That call writes
-it, with a mark string in each matrix's place that is then replaced by the
-matrix's text, written as runs of equal [re, im] pairs, each distinct pair
-formatted once; a block Toeplitz factor's text is a head, one period's
-text repeated, and a tail, so it is never formed as a dense array.  The
-text is written in pieces, not joined, once every piece is built: a
-command that fails writes nothing.
-No output document holds the mark as a string.  A non-finite number is
-never written: it fails the command with exit 4, in a matrix or as a
-scalar (a non-finite input exits 5), except that ``simulate`` reports an
-infinite SNR as null.
+factors, into their output documents as they are; the JSON text is the
+pieces of ``matcore.pieces``, all built before the output is opened, so a
+command that fails writes nothing.  No output document holds matcore's
+mark string as a string.  A non-finite number is never written: it fails
+the command with exit 4, in a matrix or as a scalar (a non-finite input
+exits 5), except that ``simulate`` reports an infinite SNR as null.
 
 Exit codes: 0 success, 2 parse error, 3 the requested decomposition is
 infeasible, 4 numerical failure or out of memory, 5 dimension or
@@ -103,41 +95,23 @@ def _payload_matrices(payload):
     return mats, payload if isinstance(payload, dict) else {}
 
 
-class _Output:
-    """A command's output as a binary stream: the --out file, created at its
-    first write, so that a command that fails before it writes leaves no
-    file; or stdout's binary buffer, or stdout itself when it has none (a
-    StringIO under contextlib.redirect_stdout), which takes the text."""
-
-    def __init__(self, path):
-        self.path, self.fh = path, None
-
-    def write(self, data):
-        if self.fh is None:
-            self.fh = open(self.path, "wb") if self.path else getattr(sys.stdout, "buffer", None)
-        if self.fh is None:
-            return sys.stdout.write(data.decode("utf-8"))
-        return self.fh.write(data)
-
-    def close(self):
-        if self.path and self.fh is not None:
-            self.fh.close()
-
-
 def _emit(args, obj):
-    """Write a command's output: ``obj`` as JSON and a newline
-    (:func:`matcore.dump`, whose pieces are written as they are, not joined),
-    or as it is when it is already text (the CSV form of ``tables``)."""
+    """Write a command's output: ``obj`` as JSON and a newline (the pieces
+    of :func:`matcore.pieces`), or as it is when it is already text (the CSV
+    form of ``tables``).  All of it is built before the --out file or stdout
+    is opened, so a command that fails writes nothing.  A stdout without a
+    binary buffer (a StringIO under contextlib.redirect_stdout) takes text."""
+    pieces = [obj.encode("utf-8")] if isinstance(obj, str) else matcore.pieces(obj) + [b"\n"]
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.writelines(pieces)
+        return
     sys.stdout.flush()
-    out = _Output(args.out)
-    try:
-        if isinstance(obj, str):
-            out.write(obj.encode("utf-8"))
-        else:
-            matcore.dump(obj, out)
-            out.write(b"\n")
-    finally:
-        out.close()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.writelines(piece.decode("utf-8") for piece in pieces)
+    else:
+        out.writelines(pieces)
 
 
 def _flag(kind, ok, need):
@@ -220,7 +194,7 @@ def _cmd_decompose(args):
         out = {
             "kind": kind,
             "u": fac.u, "r": fac.r, "v": fac.v,
-            "diag": [float(d) for d in fac.diag],
+            "diag": fac.diag.tolist(),
             "residuals": _residuals([a], fac.v, [(fac.u, fac.r)]),
         }
         if kind == "block":
@@ -234,7 +208,7 @@ def _cmd_decompose(args):
             "kind": kind,
             "v": factors.v,
             "users": [{"u": u, "r": r} for u, r in factors.users],
-            "diag": [float(d) for d in factors.diag],
+            "diag": factors.diag.tolist(),
             "residuals": _residuals(mats, factors.v, factors.users, diag=factors.diag),
         }
     else:
@@ -268,10 +242,10 @@ def _cmd_spacetime(args):
         "kept_dim": kept,
         "efficiency": kept / total,
         "min_extensions": spacetime.discarded_uses(n, len(mats), args.mode) + 1,
-        "kept_indices": [int(i) for i in factors.kept_indices],
+        "kept_indices": factors.kept_indices,
         "v": factors.v,
         "users": [{"u": u, "t": t} for u, t in factors.users],
-        "diag": [float(d) for d in factors.diag],
+        "diag": factors.diag.tolist(),
     }
     _emit(args, out)
     return EXIT_OK
@@ -311,7 +285,7 @@ def _cmd_examples(args):
             "channels": hs,
             "canonical": gs,
             "precoder": factors.v,
-            "diag": [float(d) for d in factors.diag],
+            "diag": factors.diag.tolist(),
             "total_rate": rates.total_rate,
             "multicast_rate": multicast.multicast_rate(prob),
         }

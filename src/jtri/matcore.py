@@ -10,8 +10,8 @@ Index lists crossing the API (kept indices) are 1-based; numpy storage is
 
 A matrix is the JSON object {"rows": n, "cols": m, "data": [[re, im], ...]},
 row-major.  :func:`dumps` writes JSON text (json's encoder, with each
-matrix's text in place of a mark string), and :func:`dump` writes the same
-text to a binary stream in pieces; :func:`matrix_from_json` reads one.  A
+matrix's text in place of a mark string), and :func:`pieces` builds the same
+text as a list of bytes pieces; :func:`matrix_from_json` reads one.  A
 :class:`BlockToeplitz` is written from its generator: a head, one period's
 text repeated, and a tail.
 """
@@ -303,10 +303,10 @@ def _edges(keys, last):
     return edge.nonzero()[0]
 
 
-def _texts(distinct, shown):
-    """The text "[re,im]," of each pair of ``distinct`` (V16), as json
+def _texts(pairs, shown):
+    """The text "[re,im]," of each pair of ``pairs`` (V16), as json
     writes its floats; NumericalError if one at ``shown`` is not finite."""
-    values = distinct.view(np.complex128)
+    values = pairs.view(np.complex128)
     if not np.isfinite(values[shown]).all():
         raise NumericalError("output holds a non-finite matrix entry")
     return np.array([f"[{z.real!r},{z.imag!r}],".encode() for z in values.tolist()],
@@ -329,10 +329,10 @@ def _matrix(m):
 
     Pairs are equal when the bits of re and im are, so 0.0 and -0.0 stay
     apart, and a run is its pair's text repeated.  An ndarray's runs are
-    found on its pairs' bits, and each distinct pair among them is
-    formatted once.  For a BlockToeplitz, each distinct pair of the
-    generator, and the zero pair, is formatted once, and the runs are
-    found on the pairs' labels, laid out as ``m`` lays out its entries.
+    found on its pairs' bits, and each run's pair is formatted.  For a
+    BlockToeplitz, each distinct pair of the generator, and the zero pair,
+    is formatted once, and the runs are found on the pairs' labels, laid
+    out as ``m`` lays out its entries.
     Read row-major, ``m`` repeats with a period of row_step*cols + col_step
     entries: entry f is entry f + period wherever the blocks that cover the
     two are whole, from where the first block's span has passed one period
@@ -350,8 +350,7 @@ def _matrix(m):
     if isinstance(m, np.ndarray):
         flat = np.ascontiguousarray(m).reshape(-1)
         edges = _edges(flat.view(np.int64).reshape(size, 2), True)
-        distinct, index = np.unique(flat[edges[:-1]].view("V16"), return_inverse=True)
-        pieces[1:1] = [_join(_texts(distinct, slice(None))[index], edges, True)]
+        pieces[1:1] = [_join(_texts(flat[edges[:-1]].view("V16"), slice(None)), edges, True)]
         return pieces
     h, w = m.block.shape
     distinct, ids = np.unique(np.concatenate((np.asarray(m.block, dtype=np.complex128).reshape(-1),
@@ -386,8 +385,10 @@ def _matrix(m):
     return pieces
 
 
-def _document(obj):
-    """The text of ``obj`` as :func:`dumps` writes it, in bytes pieces."""
+def pieces(obj):
+    """The text of ``obj`` as :func:`dumps` writes it, as a list of bytes
+    pieces, every one built before it returns: joined, or written one after
+    the other, they are that text."""
     matrices = []
 
     def matrix(o):
@@ -410,8 +411,8 @@ def _document(obj):
         raise ValueError("the document holds %d arrays and %d quoted marks %r: a key or "
                          "string ends with the mark" % (len(matrices), len(parts) - 1, _MARK))
     out = [parts[0].encode()]
-    for pieces, part in zip(matrices, parts[1:]):
-        out.extend(pieces)
+    for matrix_pieces, part in zip(matrices, parts[1:]):
+        out.extend(matrix_pieces)
         out.append(part.encode())
     return out
 
@@ -427,12 +428,4 @@ def dumps(obj):
     without, the text is json's.  A non-finite number raises
     NumericalError.
     """
-    return b"".join(_document(obj)).decode("ascii")
-
-
-def dump(obj, fp):
-    """Write the text of ``dumps(obj)`` to the binary stream ``fp``, piece
-    by piece and not joined.  Every piece is built before the first is
-    written, so a document that fails writes nothing."""
-    for piece in _document(obj):
-        fp.write(piece)
+    return b"".join(pieces(obj)).decode("ascii")

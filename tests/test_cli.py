@@ -486,15 +486,15 @@ def test_output_file_round_trip(tmp_path, capsys):
 
 
 def _spy_documents(monkeypatch):
-    """Record every document the CLI hands to matcore.dump."""
+    """Record every document the CLI hands to matcore.pieces."""
     docs = []
-    dump = matcore.dump
+    pieces = matcore.pieces
 
-    def spy(obj, fp):
+    def spy(obj):
         docs.append(obj)
-        return dump(obj, fp)
+        return pieces(obj)
 
-    monkeypatch.setattr(matcore, "dump", spy)
+    monkeypatch.setattr(matcore, "pieces", spy)
     return docs
 
 
@@ -637,6 +637,24 @@ def test_non_finite_scalar_output_is_numerical_failure(capsys, monkeypatch, tmp_
     assert code == cli.EXIT_NUMERICAL
     assert out == "" and "non-finite" in err
     assert not out_path.exists()
+
+
+def test_failing_command_leaves_an_existing_output_file_alone(capsys, monkeypatch, tmp_path):
+    # a singular matrix fails before the output is written, a NaN rate while
+    # it is built: --out is opened only once all of it is
+    out_path = tmp_path / "keep.json"
+    sentinel = b'{"kept":true}\n'
+    out_path.write_bytes(sentinel)
+    singular = {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+    code, out, _ = run_cli(capsys, ["decompose", "--kind", "gmd", "--out", str(out_path)],
+                           singular)
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert out_path.read_bytes() == sentinel
+    monkeypatch.setattr(cli.multicast, "multicast_rate", lambda prob: float("nan"))
+    code, out, err = run_cli(capsys, ["examples", "--name", "rateless2", "--rate", "4",
+                                      "--out", str(out_path)])
+    assert (code, out) == (cli.EXIT_NUMERICAL, "") and "non-finite" in err
+    assert out_path.read_bytes() == sentinel
 
 
 def test_non_finite_matrix_output_is_numerical_failure(capsys, monkeypatch):
