@@ -20,9 +20,13 @@ Exit codes: 0 success, 2 parse error, 3 the requested decomposition is
 infeasible, 4 numerical failure or out of memory, 5 dimension or
 precondition problem.
 Identical invocations (including --seed) produce byte-identical output.
+
+``main(argv)`` may be called any number of times in one process.  The
+parser is built on the first call and keeps no per-call state.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -407,6 +411,7 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jtri",
@@ -428,18 +433,15 @@ def build_parser():
     p.add_argument("--tol", type=_flag(float, lambda x: x >= 0, "a number >= 0"), default=None,
                    help="fail the run (exit 4) when a residual exceeds this bound")
     add_io(p)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("spacetime", help="time-extension joint triangularization")
     p.add_argument("--mode", choices=("gmd", "jet"), default="gmd")
     p.add_argument("--extensions", type=int, required=True)
     add_io(p)
-    p.set_defaults(func=_cmd_spacetime)
 
     p = sub.add_parser("tables", help="required time extensions per capacity fraction")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_io(p, needs_input=False)
-    p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("examples", help="worked channel families")
     p.add_argument("--name", required=True,
@@ -448,7 +450,6 @@ def build_parser():
                                         "a finite number > 0"), default=4.0)
     p.add_argument("--gains", help="comma-separated gains for permuted")
     add_io(p, needs_input=False)
-    p.set_defaults(func=_cmd_examples)
 
     p = sub.add_parser("simulate", help="successive-cancellation link simulation")
     p.add_argument("--factors", choices=("gmd", "svd", "jet"), default="gmd")
@@ -457,16 +458,14 @@ def build_parser():
     p.add_argument("--trials", type=_flag(int, lambda t: t >= 1, "an integer >= 1"),
                    default=100000)
     add_io(p)
-    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command](args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -307,4 +307,4 @@ def required_extensions(fraction, n, k_users, mode="gmd"):
         raise InfeasibleError(
             "fraction 1 needs unbounded extensions when coordinates are discarded")
     # (N - lost) / N >= fraction  <=>  N >= lost / (1 - fraction), in exact rationals
-    return max(lost + 1, math.ceil(lost / (1 - frac)))
+    return math.ceil(lost / (1 - frac))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -248,6 +249,35 @@ def test_every_error_class_exits_with_its_category(cls, capsys, monkeypatch):
                             {"matrices": [mat_json(np.eye(2))]})
     message = "out of memory" if cls is MemoryError else "boom"
     assert (got, out, err) == (code, "", "%s: %s\n" % (label, message))
+
+
+def test_main_runs_the_command_function_found_at_call_time(capsys, monkeypatch):
+    assert cli.main(["tables"]) == cli.EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_tables", lambda args: seen.append(args) or 17)
+    assert cli.main(["tables"]) == 17
+    assert [(args.command, args.format) for args in seen] == [("tables", "json")]
+    assert capsys.readouterr().out.startswith("{")
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert cli.main(["tables"]) == cli.EXIT_OK
+    assert built and built[0] == "jtri"
+    del built[:]
+    assert cli.main(["tables", "--format", "csv"]) == cli.EXIT_OK
+    with pytest.raises(SystemExit):
+        cli.main(["examples", "--name", "dof2", "--rate", "nan"])
+    assert run_cli(capsys, ["decompose", "--kind", "gmd"], mat_json(np.eye(2)))[0] == 0
+    assert built == []
 
 
 def test_simulate_users_must_be_a_nonempty_list(capsys):

@@ -77,9 +77,48 @@ CASES = {
 }
 
 
+def _golden(name):
+    return (GOLDEN / ("%s.out" % name)).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, capsys):
     code = cli.main(CASES[name])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
-    assert out == (GOLDEN / ("%s.out" % name)).read_text(encoding="utf-8")
+    assert out == _golden(name)
+
+
+# cli.main is called many times in one process: no call may leave state
+# (a flag's value, the parser's defaults) behind for the next one
+
+def test_golden_outputs_in_reverse_order_in_one_process(capsys):
+    for name in sorted(CASES, reverse=True):
+        assert cli.main(CASES[name]) == cli.EXIT_OK, name
+        assert capsys.readouterr().out == _golden(name), name
+
+
+def test_a_failed_tol_gate_leaves_no_tol_behind(capsys):
+    argv = CASES["decompose_gmd"]
+    assert cli.main(argv[:3] + ["--tol", "1e-300"] + argv[3:]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == _golden("decompose_gmd")
+
+
+def test_a_mode_flag_does_not_carry_to_the_next_call(capsys):
+    assert cli.main(CASES["spacetime_jet"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == _golden("spacetime_jet")
+    # no --mode: the default, gmd, and not the jet of the call before
+    argv = ["spacetime", "--extensions", "4"] + _inline({"matrices": [_mat(A), _mat(D), _mat(C)]})
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == _golden("spacetime_gmd")
+
+
+def test_a_usage_error_leaves_the_next_call_as_it_was(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["examples", "--name", "dof2", "--rate", "nan"])
+    assert exc.value.code == cli.EXIT_PARSE
+    capsys.readouterr()
+    assert cli.main(CASES["tables_csv"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == _golden("tables_csv")

@@ -600,3 +600,13 @@ def test_qr_rank_threshold_is_relative_to_each_matrix():
                     factor(a)
             else:
                 factor(a)
+
+
+def test_hermitian_part_boundary():
+    # TOL_ZERO * (max|M| + 1) = 4e-9 here: an asymmetry of 1e-7 is out,
+    # 1e-11 is roundoff and averages away
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        matcore.hermitian_part(np.array([[2, 1], [1 + 1e-7, 3]]))
+    h = matcore.hermitian_part(np.array([[2, 1], [1 + 1e-11, 3]]))
+    assert np.array_equal(h, h.conj().T)
+    assert abs(h[0, 1] - (1 + 0.5e-11)) < 1e-15

@@ -27,6 +27,13 @@ def test_mutual_info_rejects_non_psd():
         multicast.mutual_info(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_psd_check_boundary():
+    # TOL_ZERO * (max|C| + 1) = 2e-9 here: -1e-7 is out, -1e-11 is roundoff
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
+        multicast.mutual_info(np.eye(2), np.diag([1.0, -1e-7]))
+    assert abs(multicast.mutual_info(np.eye(2), np.diag([1.0, -1e-11])) - 1.0) < 1e-10
+
+
 def test_mutual_info_dof_mismatch_matched_gains():
     # gains solving log(1 + a1^2 P) = 2 log(1 + a2^2 P / 2) give equal
     # mutual information when user 1 beams all power on its antenna and
@@ -114,6 +121,14 @@ def test_scheme_rates():
     assert abs(r.total_rate - 2.0) < 1e-12
     with pytest.raises(DimensionError, match="must be >= 1"):
         multicast.scheme_rates([0.5, 2.0])
+
+
+def test_scheme_rates_diagonal_check_boundary():
+    # entries may fall short of 1 by TOL_ZERO = 1e-9 and count as 1
+    with pytest.raises(DimensionError, match="must be >= 1"):
+        multicast.scheme_rates([1.5, 1.0 - 1e-7])
+    r = multicast.scheme_rates([1.5, 1.0 - 1e-11])
+    assert r.per_stream_snr.tolist() == [1.25, 0.0]
 
 
 def test_scheme_rate_accounting_equals_worst_user_rate():
