@@ -40,6 +40,7 @@ from .errors import (
     DimensionError,
     InfeasibleError,
     JtriError,
+    NotConstructibleError,
     NumericalError,
     ParseError,
 )
@@ -299,17 +300,19 @@ def _cmd_examples(args):
         s1 = a1.conj().T @ a1 - np.eye(2)
         s2 = a2.conj().T @ a2 - np.eye(2)
         with multicast.rate_in_range(c):
-            feasible = joint_mod.exists_2gmd(a1, a2)
-            factors = joint_mod.construct_2gmd(a1, a2) if feasible else None
+            try:
+                factors = joint_mod.construct_2gmd(a1, a2)
+            except NotConstructibleError:
+                factors = None
         critical = 6.0 * np.log2((3.0 + np.sqrt(5.0)) / 2.0)
         out = {
             "name": name, "rate": c,
             "reduced_pair": [a1, a2],
             "f1": joint_mod.f1(s1, s2),
-            "feasible": bool(feasible),
+            "feasible": factors is not None,
             "critical_rate": critical,
         }
-        if feasible:
+        if factors is not None:
             out["precoder"] = factors.v
             out["witness"] = factors.v[:, :1]
         else:

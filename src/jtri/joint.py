@@ -4,16 +4,13 @@ The workhorse is the reduction between the two joint forms: equi-diagonal
 triangularization of K+1 matrices is equivalent to unit-diagonal
 triangularization of the K quotients B_k = A_k A_{K+1}^{-1}
 (kgmd_to_kjet / jet2).  For 2x2 pairs, exact unit-diagonal joint
-triangularization has a closed-form existence test, the sign of
-
-    F1(S1, S2) = det(S1 adj(S2) - S2 adj(S1)),   S_k = A_k^H A_k - I,
-
-and the constructive witness is a unit vector annihilating both quadratic
-forms (exists_2gmd / construct_2gmd).  It has one closed form: on the
-null circle of one form the other reads A + B cos(phase), and
-(c - a)^2 (B^2 - A^2) = F1, so the phase solves cos(phase) = -A / B
-(common_null_witness).  A companion test F2 decides the mixed
-upper/lower orientation (exists_upper_lower / construct_upper_lower).
+triangularization exists exactly when the forms S_k = A_k^H A_k - I
+share a unit null vector, and common_null_witness alone decides it
+(exists_2gmd / construct_2gmd; exists_upper_lower / construct_upper_lower
+on S_1 and adj S_2 for the mixed upper/lower orientation).  On the null
+circle of one form the other reads A + B cos(phase), and
+(c - a)^2 (B^2 - A^2) = F1(S1, S2) = det(S1 adj(S2) - S2 adj(S1)), so
+the phase solves cos(phase) = -A / B.  F1 and F2 only name a refusal.
 """
 
 from dataclasses import dataclass
@@ -22,7 +19,7 @@ import numpy as np
 
 from . import matcore
 from .errors import DimensionError, InfeasibleError, NotConstructibleError, NumericalError
-from .gtd import check_blocks, gmd
+from .gtd import gmd
 
 
 @dataclass
@@ -133,17 +130,20 @@ def common_null_witness(*forms):
     The circle is that of the form with the widest eigenvalue gap, so a
     numerically zero form never defines it, and the second form is the one
     with the largest |beta|, so a form proportional to the first never
-    leaves the phase free while another fixes it.  Both roots are tried in
-    turn; the first one that nulls every form within TOL_ZERO (all forms
-    scaled by their largest norm where that exceeds 1) is returned.
-    Otherwise raises InfeasibleError.
+    leaves the phase free while another fixes it.  Both are computed on
+    the forms scaled by their largest norm where that exceeds 1.  Of the
+    two roots, the first with |v^H S v| <= TOL_ZERO on every unscaled form
+    is returned: for S = A^H A - r^2 I that is the promised diagonal entry
+    |A v|^2 = r^2.  Otherwise raises InfeasibleError, or NumericalError
+    for a form that is not finite.
     """
     if len(forms) < 2:
         raise DimensionError("need at least two forms")
+    if not all(np.isfinite(s).all() for s in forms):
+        raise NumericalError("a form of the 2x2 existence test is not finite")
     hs = [_hermitian_2x2_or_raise(s) for s in forms]
     scale = max(1.0, max(np.linalg.norm(h) for h in hs))
-    gs = [h / scale for h in hs]
-    circle, *rest = sorted(gs, key=_eigen_gap, reverse=True)
+    circle, *rest = sorted((h / scale for h in hs), key=_eigen_gap, reverse=True)
     (a, c), q = np.linalg.eigh(circle)
     t = max((q.conj().T @ g @ q for g in rest), key=lambda m: abs(m[0, 1]))
     # the widest gap is zero only when every form is a multiple of I
@@ -157,9 +157,9 @@ def common_null_witness(*forms):
     y = np.sqrt(1.0 - x * x)
     for phase in ((x - 1j * y) * turn, (x + 1j * y) * turn):
         v = q @ np.array([cos_t, phase * sin_t])
-        if all(abs(v.conj() @ g @ v) <= matcore.TOL_ZERO for g in gs):
+        if all(abs(v.conj() @ h @ v) <= matcore.TOL_ZERO for h in hs):
             return v
-    raise InfeasibleError("no common null vector of the %d forms" % len(gs))
+    raise InfeasibleError("no common null vector of the %d forms" % len(hs))
 
 
 # --- 2x2 joint decompositions -------------------------------------------------
@@ -174,36 +174,33 @@ def _check_unit_det_pair(a1, a2):
     return m1, m2
 
 
-def _pair_condition(m1, m2, r=1.0, upper_lower=False):
-    """The 2x2 existence test for a checked unit-|det| pair, as
-    (value, holds), on the forms S_k = A_k^H A_k - r^2 I.
+def _forms(mats, r=1.0):
+    """A^H A - r^2 I for each 2x2 matrix; an overflow stays inf, for the witness."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [m.conj().T @ m - r * r * np.eye(2) for m in mats]
 
-    Same orientation (both upper triangular, diagonal (r, 1/r)): the value
-    is F1.  Mixed orientation (second matrix lower triangular, r = 1): F2.
-    It holds when the value is not below zero by more than TOL_ZERO of
-    its scale, (||S_1|| ||S_2||)^2 + 1, and, for r != 1, both shifted forms
-    are indefinite.  A scale past the float range decides nothing: it
-    raises NumericalError.
-    """
-    shift = float(r) ** 2
-    s1 = m1.conj().T @ m1 - shift * np.eye(2)
-    s2 = m2.conj().T @ m2 - shift * np.eye(2)
-    with np.errstate(over="ignore"):
-        scale = (np.linalg.norm(s1) * np.linalg.norm(s2)) ** 2 + 1.0
-    if not np.isfinite(scale):
-        raise NumericalError("the scale of the existence test overflows a float")
-    val = (f2 if upper_lower else f1)(s1, s2)
-    holds = val >= -matcore.TOL_ZERO * scale
-    if holds and r != 1.0:
-        holds = _det2(s1).real <= matcore.TOL_ZERO and _det2(s2).real <= matcore.TOL_ZERO
-    return val, holds
+
+def _witnessed(*forms):
+    try:
+        common_null_witness(*forms)
+    except InfeasibleError:
+        return False
+    return True
+
+
+def _refusal(what, name, value):
+    """What a refusal says: the F1 or F2 value, and "< 0" only when it is."""
+    if value < 0:
+        return "%s does not exist: %s = %.6g < 0" % (what, name, value)
+    return "%s: no unit vector gives unit diagonals within TOL_ZERO (%s = %.6g)" % (
+        what, name, value)
 
 
 def exists_2gmd(a1, a2, r=1.0):
     """Existence of joint unit-phase triangularization of a 2x2 pair with
-    common diagonal (r, 1/r); for r = 1 the test is F1 >= 0, and for
-    general r the two shifted forms must also be indefinite."""
-    return _pair_condition(*_check_unit_det_pair(a1, a2), r)[1]
+    common diagonal (r, 1/r): common_null_witness finds a unit v with
+    |A_k v| = r, a null vector of both forms A_k^H A_k - r^2 I."""
+    return _witnessed(*_forms(_check_unit_det_pair(a1, a2), r))
 
 
 def construct_2gmd(a1, a2):
@@ -223,8 +220,8 @@ def kgmd_exact(matrices):
     decides, its vector is completed to a unitary V, and every A_k V is
     triangularized in one QR call.  Anything else raises
     NotConstructibleError so callers can fall back to time extensions;
-    when the witness finds no vector and the first two matrices fail the
-    F1 test, the message names the F1 value.
+    when the witness finds no vector, the message names the F1 value of
+    the first two matrices.
     """
     mats, n = matcore.check_square_set(matrices)
     _check_absdet(mats, unit=True)
@@ -240,15 +237,12 @@ def _kgmd_exact_core(mats, n):
         fac = gmd(mats[0])
         return JointFactors(v=fac.v, users=[(fac.u, fac.r)] * len(mats), diag=fac.diag)
     if n == 2:
+        forms = _forms(mats)
         try:
-            v1 = common_null_witness(*[m.conj().T @ m - np.eye(2) for m in mats])
+            v1 = common_null_witness(*forms)
         except InfeasibleError as exc:
-            f1_val, holds = _pair_condition(mats[0], mats[1])
-            if holds:
-                raise NotConstructibleError(str(exc)) from exc
-            raise NotConstructibleError(
-                "exact joint unit-diagonal triangularization does not exist: "
-                "F1 = %.6g < 0" % f1_val) from exc
+            raise NotConstructibleError(_refusal(
+                "exact joint unit-diagonal triangularization", "F1", f1(*forms[:2]))) from exc
         v = np.array([[v1[0], -np.conj(v1[1])], [v1[1], np.conj(v1[0])]])
         fac = matcore.qr(np.stack([m @ v for m in mats]))
         diag = np.mean(np.real(np.diagonal(fac.r, axis1=1, axis2=2)), axis=0)
@@ -291,27 +285,28 @@ def jet2(a1, a2):
 
 def exists_upper_lower(a1, a2):
     """Existence of the mixed orientation: first matrix upper-triangular
-    with unit diagonal, second lower-triangular with unit diagonal."""
-    return _pair_condition(*_check_unit_det_pair(a1, a2), upper_lower=True)[1]
+    with unit diagonal, second lower-triangular with unit diagonal; the
+    witness decides on S_1 and adj S_2."""
+    s1, s2 = _forms(_check_unit_det_pair(a1, a2))
+    return _witnessed(s1, matcore.adjugate(s2))
 
 
 def construct_upper_lower(a1, a2):
     """Mixed-orientation joint triangularization with unit diagonals.
 
-    Returns (v, u1, r1_upper, u2, r2_lower).  The first column of V makes
-    A1 v1 unit-norm (upper route); its reflected partner makes A2 v2
-    unit-norm, which is exactly the lower-triangular condition.  Raises
-    InfeasibleError naming the F2 value when the pair fails the
-    F2 test.
+    Returns (v, u1, r1_upper, u2, r2_lower).  The first column of V is
+    common_null_witness's vector for S_1 and adj S_2, so A1 v1 is
+    unit-norm (upper route) and so is A2 v2 for its orthogonal partner
+    v2, which is exactly the lower-triangular condition.  When the witness
+    finds no vector, raises InfeasibleError naming the F2 value.
     """
     m1, m2 = _check_unit_det_pair(a1, a2)
-    f2_val, holds = _pair_condition(m1, m2, upper_lower=True)
-    if not holds:
-        raise InfeasibleError(
-            "mixed-orientation decomposition does not exist: F2 = %.6g < 0" % f2_val)
-    s1 = m1.conj().T @ m1 - np.eye(2)
-    s2 = matcore.adjugate(m2.conj().T @ m2 - np.eye(2))
-    v1 = common_null_witness(s1, s2)
+    s1, s2 = _forms([m1, m2])
+    try:
+        v1 = common_null_witness(s1, matcore.adjugate(s2))
+    except InfeasibleError as exc:
+        raise InfeasibleError(_refusal(
+            "mixed-orientation decomposition", "F2", f2(s1, s2))) from exc
     v2 = np.array([np.conj(v1[1]), -np.conj(v1[0])])
     v = np.column_stack([v1, v2])
     # lower-triangular factor: QR of A2 V with its columns reversed,
@@ -319,24 +314,3 @@ def construct_upper_lower(a1, a2):
     fac = matcore.qr(np.stack([m1 @ v, (m2 @ v)[:, ::-1]]))
     return v, fac.q[0], fac.r[0], fac.q[1][:, ::-1], fac.r[1][::-1, ::-1]
 
-
-def joint_block_feasible(a1, a2, block_sizes, det_ratios):
-    """Feasibility of joint block-triangularization of an invertible pair
-    with prescribed per-block determinant ratios.
-
-    The tests compare sorted prefix products of the |ratios| against the
-    generalized singular values, computed here as the singular values of
-    a1 @ inv(a2).
-    """
-    (m1, m2), n = matcore.check_square_set([a1, a2])
-    sizes, ratios = check_blocks(block_sizes, det_ratios, n, "determinant ratio")
-    try:
-        quotient = m1 @ np.linalg.inv(m2)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("second matrix is singular") from exc
-    mu = matcore.svd(quotient).sigma
-    if mu[-1] <= 0:
-        raise NumericalError("first matrix is singular")
-    if any(abs(x) == 0 for x in ratios):
-        return False
-    return matcore.first_failing_group(mu, np.log(np.abs(ratios)), sizes) is None

@@ -49,7 +49,6 @@ from .gtd import gmd
 from .joint import (
     JointFactors,
     _check_absdet,
-    exists_2gmd,
     jet2,
 )
 
@@ -199,75 +198,6 @@ def nearly_kjet(matrices, n_ext):
     relative at c = 1e6 (2.6e-7 at 1e5).  The result does not report it.
     """
     return _dense(toeplitz_factors(matrices, n_ext, "jet"))
-
-
-def extension_futile_2x2(a1, a2):
-    """True when no number of time extensions admits an exact joint
-    unit-diagonal triangularization of the 2x2 pair: existence for the
-    extended matrices is equivalent to existence for the originals, so
-    the F1 test settles every N at once."""
-    return not exists_2gmd(a1, a2, 1.0)
-
-
-_REFLECTION_TOL = 1e-8
-
-
-def _reflection_parts(m):
-    """Split a 2x2 unitary of the reflection form
-    [[a+bi, c+di], [c-di, -a+bi]] into (a, b, c, d)."""
-    w = matcore.as_cmatrix(m)
-    if w.shape != (2, 2):
-        raise DimensionError("factors must be 2x2")
-    if (abs(w[1, 0] - np.conj(w[0, 1])) > _REFLECTION_TOL
-            or abs(w[1, 1] + np.conj(w[0, 0])) > _REFLECTION_TOL):
-        raise DimensionError("factor is not in reflection form")
-    return (float(w[0, 0].real), float(w[0, 0].imag),
-            float(w[0, 1].real), float(w[0, 1].imag))
-
-
-def rephase_to_reflection(u1, u2, v):
-    """Rotate a 2x2 joint-triangularization triple by a common global
-    phase so all three factors land in reflection form (determinant -1).
-
-    Works whenever the three determinants agree, which holds for factors
-    of real det(+1) matrix pairs; the triangular parts are unchanged.
-    """
-    dets = [np.linalg.det(np.asarray(m)) for m in (u1, u2, v)]
-    if max(abs(dets[0] - d) for d in dets) > _REFLECTION_TOL:
-        raise DimensionError("factor determinants disagree; cannot rephase jointly")
-    phase = np.exp(0.5j * (np.pi - np.angle(dets[2])))
-    return u1 * phase, u2 * phase, v * phase
-
-
-def real_embedding_2gmd(a1, a2, u1, u2, v):
-    """Real orthogonal 4x4 factors realizing the complex 2x2 joint
-    triangularization of a real pair on the two-fold extended space.
-
-    The complex factors must be in reflection form (see
-    rephase_to_reflection); each maps to the fixed 4x4 sign pattern
-      [[ a, -b,  c, -d],
-       [ c,  d, -a, -b],
-       [ b,  a,  d,  c],
-       [-d,  c,  b, -a]]
-    and the embedded triple triangularizes blkdiag(A_k, A_k) with unit
-    diagonal using only real orthogonal matrices.
-    """
-    for m in (a1, a2):
-        mm = matcore.as_cmatrix(m)
-        if mm.shape != (2, 2):
-            raise DimensionError("channel matrices must be 2x2")
-        if np.max(np.abs(mm.imag)) > _REFLECTION_TOL:
-            raise DimensionError("channel matrices must be real valued")
-    out = []
-    for m in (u1, u2, v):
-        a, b, c, d = _reflection_parts(m)
-        out.append(np.array([
-            [a, -b, c, -d],
-            [c, d, -a, -b],
-            [b, a, d, c],
-            [-d, c, b, -a],
-        ]))
-    return tuple(out)
 
 
 def discarded_uses(n, k_users, mode="gmd"):

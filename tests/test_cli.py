@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jtri
-from jtri import cli, errors, matcore, spacetime
+from jtri import cli, errors, matcore, multicast, spacetime
 from util import matrix_to_json_per_entry, per_entry_document, rand_complex, rand_unit_det
 
 
@@ -62,6 +62,28 @@ def test_decompose_kgmd_infeasible_names_condition(capsys):
         {"matrices": [mat_json(a1), mat_json(a2)]})
     assert code == cli.EXIT_INFEASIBLE
     assert "F1 = " in err and "< 0" in err
+
+
+def test_decompose_kgmd_on_the_rate_100_reduced_pair_names_f1(capsys):
+    # the forms reach 1e10, and the witness checks |A_k v|^2 = 1 on them
+    # unscaled: no vector gives unit diagonals
+    a1, a2 = multicast.rateless3_reduce(100.0)
+    code, out, err = run_cli(capsys, ["decompose", "--kind", "kgmd"],
+                             {"matrices": [mat_json(a1), mat_json(a2)]})
+    assert (code, out) == (cli.EXIT_INFEASIBLE, "")
+    assert err == ("infeasible: exact joint unit-diagonal triangularization does not "
+                   "exist: F1 = -1.17125e+20 < 0\n")
+
+
+def test_decompose_kgmd_on_forms_that_overflow_is_a_numerical_failure():
+    # A^H A of diag(1e160, 1e-160) overflows: one line on stderr, no warning
+    inline = {"matrices": [mat_json(np.diag([1e160, 1e-160])), mat_json([[2.0, 1.0], [1.0, 1.0]])]}
+    src = os.path.dirname(os.path.dirname(jtri.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "jtri", "decompose", "--kind", "kgmd", "--inline", json.dumps(inline)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (cli.EXIT_NUMERICAL, "")
+    assert done.stderr == "numerical failure: a form of the 2x2 existence test is not finite\n"
 
 
 def test_decompose_jet_rateless_closed_form(capsys):
@@ -306,9 +328,6 @@ _FLAG_CASES = [
     # finite 2^rate, but past what double precision can construct
     (["examples", "--name", "rateless2", "--rate", "600"], 4,
      "numerical failure: rate 600.0 is too large: column residual below 1e-12 of the input norm"),
-    (["examples", "--name", "rateless3", "--rate", "1500"], 4,
-     "numerical failure: rate 1500.0 is too large: the scale of the existence test "
-     "overflows a float"),
     (["examples", "--name", "rateless2", "--rate", "nan"], 2,
      "argument --rate: needs a finite number > 0"),
     (["examples", "--name", "dof2", "--rate", "-1"], 2, "argument --rate: needs a finite number > 0"),
@@ -449,6 +468,16 @@ def test_examples_rateless3_feasibility(capsys):
     payload = json.loads(out)
     assert payload["feasible"] is False
     assert abs(payload["critical_rate"] - 8.3309) < 1e-3
+
+
+@pytest.mark.parametrize("rate", ["100", "1500"])
+def test_examples_rateless3_far_above_the_critical_rate_is_infeasible(rate, capsys):
+    # the reduced pair's forms reach 1e10 at rate 100 and 3e150 at 1500
+    code, out, err = run_cli(capsys, ["examples", "--name", "rateless3", "--rate", rate])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["feasible"] is False and "precoder" not in payload
+    assert np.isfinite(payload["f1"]) and payload["f1"] < 0
 
 
 def test_examples_permuted_and_dof(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtri import gtd, joint, matcore
+from jtri import gtd, matcore
 from jtri.errors import (
     BlockConditionError,
     DimensionError,
@@ -12,6 +12,7 @@ from jtri.errors import (
 )
 from util import (
     gtd_sweep_reference,
+    joint_block_feasible,
     majorization_reference,
     rand_complex,
     rand_unit_det,
@@ -446,7 +447,7 @@ def test_first_failing_group_matches_reference(seed, m, unit, kind):
     assert matcore.first_failing_group(sigma, np.log(dets), sizes) == want
     a = np.diag(sigma).astype(complex)
     n = a.shape[0]
-    assert joint.joint_block_feasible(a, np.eye(n), sizes, dets) == (want is None)
+    assert joint_block_feasible(a, np.eye(n), sizes, dets) == (want is None)
     spec = gtd.BlockSpec(block_sizes=sizes, block_dets=list(dets))
     if want is None:
         gtd.block_gtd(a, spec)

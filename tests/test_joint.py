@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtri import gtd, joint, matcore, spacetime
+from jtri import gtd, joint, matcore, multicast, spacetime
 from jtri.errors import DimensionError, InfeasibleError, NotConstructibleError, NumericalError
 from util import (
     gmd2_residual,
+    joint_block_feasible,
     rand_complex,
     rand_unit_det,
     rand_unitary,
@@ -402,29 +405,78 @@ def _near_f1_boundary_pairs():
 
 
 def test_construct_2gmd_and_kgmd_exact_agree_near_the_f1_boundary():
-    # 111 of these pairs read F1 just below zero, past the test's
-    # tolerance, yet the witness nulls both forms: one route must build
-    # them, and build them alike
+    # the witness decides for exists_2gmd, construct_2gmd and kgmd_exact
+    # alike, and accepts a vector only when |A_k v|^2 = 1 within TOL_ZERO,
+    # so every built diagonal is within 1e-9 of 1; each refusal here is at
+    # F1 < 0
     pairs = _near_f1_boundary_pairs()
     assert len(pairs) == 861
     built = passed_on = 0
     for a1, a2 in pairs:
+        feasible = joint.exists_2gmd(a1, a2)
         try:
             pair = joint.construct_2gmd(a1, a2)
         except NotConstructibleError as exc:
-            # F1 is named only when it fails its test; else the witness speaks
-            feasible = joint.exists_2gmd(a1, a2)
-            assert ("F1 = " in str(exc)) != feasible
+            s1, s2 = (a.conj().T @ a - np.eye(2) for a in (a1, a2))
+            # "< 0" is claimed only of a negative F1
+            assert ("< 0" in str(exc)) == (joint.f1(s1, s2) < 0)
             passed_on += feasible
             with pytest.raises(NotConstructibleError):
                 joint.kgmd_exact([a1, a2])
             continue
+        assert feasible
         family = joint.kgmd_exact([a1, a2])
         built += 1
         assert np.array_equal(pair.v, family.v)
         for (u, r), (u_k, r_k) in zip(pair.users, family.users):
             assert np.array_equal(u, u_k) and np.array_equal(r, r_k)
-    assert (built, passed_on) == (824, 4)
+            assert np.max(np.abs(np.real(np.diag(r)) - 1.0)) <= 1e-9
+    assert (built, passed_on) == (668, 0)
+
+
+def test_exists_2gmd_on_the_rateless3_family_is_the_critical_rate():
+    # the reduced pair's forms grow like 2^(C/6), to 3e153 at C = 1530;
+    # the witness checks them unscaled, so the answer holds up to there
+    critical = 6.0 * np.log2((3.0 + np.sqrt(5.0)) / 2.0)
+    for c in np.concatenate([np.linspace(0.5, 8.33, 20), np.linspace(8.34, 1530.0, 300)]):
+        a1, a2 = multicast.rateless3_reduce(c)
+        assert joint.exists_2gmd(a1, a2) == (c < critical)
+        if c < critical:
+            for _, r in joint.construct_2gmd(a1, a2).users:
+                assert np.max(np.abs(np.real(np.diag(r)) - 1.0)) <= 1e-9
+        else:
+            with pytest.raises(NotConstructibleError, match=r"F1 = \S+ < 0"):
+                joint.construct_2gmd(a1, a2)
+
+
+def test_a_form_that_overflows_is_a_numerical_failure():
+    a1 = np.diag([1e160, 1e-160])
+    a2 = np.array([[2.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (joint.exists_2gmd, joint.construct_2gmd,
+                      joint.exists_upper_lower, joint.construct_upper_lower):
+            with pytest.raises(NumericalError, match="not finite"):
+                route(a1, a2)
+
+
+def test_a_refusal_at_nonnegative_f1_does_not_claim_it_negative():
+    # A_1 = U_1 [[1, x], [0, 1]] V^H and A_2 = U_2 [[1, 2ix], [0, 1]] V^H
+    # (lower triangular for the mixed orientation) share V e1 exactly, so
+    # F1 and F2 are positive; at x = 1e4 the forms reach 1e8, and roundoff
+    # keeps |A_k v|^2 - 1 above TOL_ZERO for the computed vector: the
+    # refusal says the factors cannot be built, not that they do not exist
+    rng = np.random.default_rng(3)
+    v = rand_unitary(rng, 2)
+    a1 = rand_unitary(rng, 2) @ np.array([[1.0, 1e4], [0.0, 1.0]]) @ v.conj().T
+    upper = rand_unitary(rng, 2) @ np.array([[1.0, 2e4j], [0.0, 1.0]]) @ v.conj().T
+    lower = rand_unitary(rng, 2) @ np.array([[1.0, 0.0], [2e4j, 1.0]]) @ v.conj().T
+    for route, a2, name in ((joint.construct_2gmd, upper, "F1"),
+                            (joint.construct_upper_lower, lower, "F2")):
+        with pytest.raises(InfeasibleError, match=r"within TOL_ZERO \(%s = \S+\)" % name) as exc:
+            route(a1, a2)
+        assert "< 0" not in str(exc.value)
+    assert not joint.exists_2gmd(a1, upper) and not joint.exists_upper_lower(a1, lower)
 
 
 def test_kgmd_exact_builds_triples_sharing_a_null_vector():
@@ -655,8 +707,8 @@ def test_joint_block_feasible_single_block():
     a1 = rand_complex(rng, 3)
     a2 = rand_complex(rng, 3)
     ratio = np.linalg.det(a1) / np.linalg.det(a2)
-    assert joint.joint_block_feasible(a1, a2, [3], [ratio])
-    assert not joint.joint_block_feasible(a1, a2, [3], [ratio * 2.0])
+    assert joint_block_feasible(a1, a2, [3], [ratio])
+    assert not joint_block_feasible(a1, a2, [3], [ratio * 2.0])
 
 
 def test_joint_block_feasible_identity_second_reduces_to_single_matrix():
@@ -665,9 +717,9 @@ def test_joint_block_feasible_identity_second_reduces_to_single_matrix():
     sig = matcore.svd(a1).sigma
     sizes = [2, 2]
     good = [sig[0] * sig[3], sig[1] * sig[2]]
-    assert joint.joint_block_feasible(a1, np.eye(4), sizes, good)
+    assert joint_block_feasible(a1, np.eye(4), sizes, good)
     bad = [np.prod(sig) / 1e-3, 1e-3]
-    assert not joint.joint_block_feasible(a1, np.eye(4), sizes, bad)
+    assert not joint_block_feasible(a1, np.eye(4), sizes, bad)
     # cross-check against the single-matrix block feasibility
     try:
         gtd.block_gtd(a1, gtd.BlockSpec(block_sizes=sizes, block_dets=good))
@@ -694,4 +746,4 @@ def test_joint_block_feasible_built_ratios():
         t = np.exp((1.0 - w) * logs + w * np.mean(logs))
         pieces = np.split(t, np.cumsum(sizes)[:-1])
         ratios = [np.prod(p) for p in pieces]
-        assert joint.joint_block_feasible(a1, a2, list(sizes), ratios)
+        assert joint_block_feasible(a1, a2, list(sizes), ratios)

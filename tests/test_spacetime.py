@@ -10,13 +10,16 @@ from jtri.errors import DimensionError, InfeasibleError, NumericalError
 import test_golden as golden
 from util import (
     extended_gmd_residual,
+    extension_futile_2x2,
     extraction_matrix,
     nearly_kgmd_dense,
     positions,
     rand_real_det_one,
     rand_unit_det,
     rand_unitary,
+    real_embedding_2gmd,
     reorder_indices,
+    rephase_to_reflection,
     select,
     square_rounds,
 )
@@ -225,8 +228,8 @@ def test_extension_futile_matches_base_existence():
             feas = feas or (a1, a2)
         else:
             infeas = infeas or (a1, a2)
-    assert not spacetime.extension_futile_2x2(*feas)
-    assert spacetime.extension_futile_2x2(*infeas)
+    assert not extension_futile_2x2(*feas)
+    assert extension_futile_2x2(*infeas)
 
 
 def test_extension_futile_extended_oracle():
@@ -240,7 +243,7 @@ def test_extension_futile_extended_oracle():
         s2 = a2.conj().T @ a2 - np.eye(2)
         if joint.f1(s1, s2) < -1e-3:
             break
-    assert spacetime.extension_futile_2x2(a1, a2)
+    assert extension_futile_2x2(a1, a2)
     resid = extended_gmd_residual(rng, a1, a2, n_ext=2)
     assert resid > 1e-4
 
@@ -249,12 +252,12 @@ def test_extension_futile_boundary_pair_is_feasible():
     # two equal matrices sit on the boundary F1 = 0 and stay feasible
     rng = np.random.default_rng(11)
     a = rand_unit_det(rng, 2)
-    assert not spacetime.extension_futile_2x2(a, a)
+    assert not extension_futile_2x2(a, a)
 
 
 def test_real_embedding_pure_phase_pattern():
     m = np.array([[1j, 0.0], [0.0, 1j]])
-    u1, u2, v = spacetime.real_embedding_2gmd(np.eye(2), np.eye(2), m, m, m)
+    u1, u2, v = real_embedding_2gmd(np.eye(2), np.eye(2), m, m, m)
     expect = np.array([
         [0, -1, 0, 0],
         [0, 0, 0, -1],
@@ -266,7 +269,7 @@ def test_real_embedding_pure_phase_pattern():
 
 def test_real_embedding_identity_reflection():
     m = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)  # a=1, b=c=d=0
-    u1, u2, v = spacetime.real_embedding_2gmd(np.eye(2), np.eye(2), m, m, m)
+    u1, u2, v = real_embedding_2gmd(np.eye(2), np.eye(2), m, m, m)
     assert np.array_equal(v, np.array([
         [1, 0, 0, 0],
         [0, 0, -1, 0],
@@ -287,8 +290,8 @@ def test_real_embedding_random_feasible_real_pair():
         done += 1
         jf = joint.construct_2gmd(a1, a2)
         (u1, r1), (u2, r2) = jf.users
-        u1p, u2p, vp = spacetime.rephase_to_reflection(u1, u2, jf.v)
-        big1, big2, bigv = spacetime.real_embedding_2gmd(a1, a2, u1p, u2p, vp)
+        u1p, u2p, vp = rephase_to_reflection(u1, u2, jf.v)
+        big1, big2, bigv = real_embedding_2gmd(a1, a2, u1p, u2p, vp)
         for m in (big1, big2, bigv):
             assert np.max(np.abs(m @ m.T - np.eye(4))) <= 1e-9
         for big_u, a in ((big1, a1), (big2, a2)):
@@ -301,7 +304,7 @@ def test_real_embedding_random_feasible_real_pair():
 def test_real_embedding_form_mismatch():
     bad = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)  # determinant +1
     with pytest.raises(DimensionError, match="not in reflection form"):
-        spacetime.real_embedding_2gmd(np.eye(2), np.eye(2), bad, bad, bad)
+        real_embedding_2gmd(np.eye(2), np.eye(2), bad, bad, bad)
 
 
 def test_required_extensions_table_rows():

@@ -3,7 +3,11 @@ independent brute-force search oracles used to cross-check the
 closed-form existence tests, and the reference constructions: the GTD
 pairing sweep done with physical slot swaps, the dense time
 extension, the time-extension rounds on square arrays, and the
-closed-form SINR of the SIC receiver.
+closed-form SINR of the SIC receiver.  The last section holds the
+constructions only the tests call, which check claims of the paper:
+extensions cannot help the exact 2x2 case, the real 4x4 orthogonal
+realization of a 2x2 pair, and block feasibility by generalized
+singular values.
 
 The oracles deliberately avoid the library's F1/F2 route: they search
 for a unit vector making the required column norms equal to one, over a
@@ -15,7 +19,7 @@ from scipy.optimize import minimize
 
 from jtri import joint, matcore, multicast
 from jtri.errors import DimensionError, NumericalError
-from jtri.gtd import GtdFactors, gmd
+from jtri.gtd import GtdFactors, check_blocks, gmd
 from jtri.joint import JointFactors
 
 
@@ -546,3 +550,96 @@ def sic_sinr(problem, factors):
         noise = np.tril(power, -1).sum(axis=1) + (np.abs(front) ** 2).sum(axis=1)
         out.append(np.diag(power) / noise)
     return out
+
+
+# --- test-only constructions: extensions, real embedding, block feasibility ---
+
+
+def extension_futile_2x2(a1, a2):
+    """True when no number of time extensions admits an exact joint
+    unit-diagonal triangularization of the 2x2 pair: existence for the
+    extended matrices is equivalent to existence for the originals, so
+    the 2x2 existence test settles every N at once."""
+    return not joint.exists_2gmd(a1, a2, 1.0)
+
+
+_REFLECTION_TOL = 1e-8
+
+
+def _reflection_parts(m):
+    """Split a 2x2 unitary of the reflection form
+    [[a+bi, c+di], [c-di, -a+bi]] into (a, b, c, d)."""
+    w = matcore.as_cmatrix(m)
+    if w.shape != (2, 2):
+        raise DimensionError("factors must be 2x2")
+    if (abs(w[1, 0] - np.conj(w[0, 1])) > _REFLECTION_TOL
+            or abs(w[1, 1] + np.conj(w[0, 0])) > _REFLECTION_TOL):
+        raise DimensionError("factor is not in reflection form")
+    return (float(w[0, 0].real), float(w[0, 0].imag),
+            float(w[0, 1].real), float(w[0, 1].imag))
+
+
+def rephase_to_reflection(u1, u2, v):
+    """Rotate a 2x2 joint-triangularization triple by a common global
+    phase so all three factors land in reflection form (determinant -1).
+
+    Works whenever the three determinants agree, which holds for factors
+    of real det(+1) matrix pairs; the triangular parts are unchanged.
+    """
+    dets = [np.linalg.det(np.asarray(m)) for m in (u1, u2, v)]
+    if max(abs(dets[0] - d) for d in dets) > _REFLECTION_TOL:
+        raise DimensionError("factor determinants disagree; cannot rephase jointly")
+    phase = np.exp(0.5j * (np.pi - np.angle(dets[2])))
+    return u1 * phase, u2 * phase, v * phase
+
+
+def real_embedding_2gmd(a1, a2, u1, u2, v):
+    """Real orthogonal 4x4 factors realizing the complex 2x2 joint
+    triangularization of a real pair on the two-fold extended space.
+
+    The complex factors must be in reflection form (see
+    rephase_to_reflection); each maps to the fixed 4x4 sign pattern
+      [[ a, -b,  c, -d],
+       [ c,  d, -a, -b],
+       [ b,  a,  d,  c],
+       [-d,  c,  b, -a]]
+    and the embedded triple triangularizes blkdiag(A_k, A_k) with unit
+    diagonal using only real orthogonal matrices.
+    """
+    for m in (a1, a2):
+        mm = matcore.as_cmatrix(m)
+        if mm.shape != (2, 2):
+            raise DimensionError("channel matrices must be 2x2")
+        if np.max(np.abs(mm.imag)) > _REFLECTION_TOL:
+            raise DimensionError("channel matrices must be real valued")
+    out = []
+    for m in (u1, u2, v):
+        a, b, c, d = _reflection_parts(m)
+        out.append(np.array([
+            [a, -b, c, -d],
+            [c, d, -a, -b],
+            [b, a, d, c],
+            [-d, c, b, -a],
+        ]))
+    return tuple(out)
+
+def joint_block_feasible(a1, a2, block_sizes, det_ratios):
+    """Feasibility of joint block-triangularization of an invertible pair
+    with prescribed per-block determinant ratios.
+
+    The tests compare sorted prefix products of the |ratios| against the
+    generalized singular values, computed here as the singular values of
+    a1 @ inv(a2).
+    """
+    (m1, m2), n = matcore.check_square_set([a1, a2])
+    sizes, ratios = check_blocks(block_sizes, det_ratios, n, "determinant ratio")
+    try:
+        quotient = m1 @ np.linalg.inv(m2)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("second matrix is singular") from exc
+    mu = matcore.svd(quotient).sigma
+    if mu[-1] <= 0:
+        raise NumericalError("first matrix is singular")
+    if any(abs(x) == 0 for x in ratios):
+        return False
+    return matcore.first_failing_group(mu, np.log(np.abs(ratios)), sizes) is None
