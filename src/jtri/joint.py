@@ -256,17 +256,14 @@ def kgmd_to_kjet(matrices):
     unit-diagonal triangularization (kgmd_exact) of the K quotients
     against the last matrix; NotConstructibleError from it propagates.
     The |det| condition is checked once, on the matrices: the quotients
-    are not checked again.
+    are not checked again.  A singular matrix (log|det| = -inf) fails
+    that check, so the last matrix is invertible when it is inverted.
     """
     mats, n = matcore.check_square_set(matrices)
     if len(mats) < 2:
         raise DimensionError("need at least two matrices")
     _check_absdet(mats)
-    last = mats[-1]
-    try:
-        last_inv = np.linalg.inv(last)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("last matrix is singular") from exc
+    last_inv = np.linalg.inv(mats[-1])
     core = _kgmd_exact_core([m @ last_inv for m in mats[:-1]], n)
     u_last = core.v
     fac = matcore.qr(last_inv @ u_last)
@@ -279,7 +276,9 @@ def kgmd_to_kjet(matrices):
 
 def jet2(a1, a2):
     """Equi-diagonal triangularization of two equal-|det| matrices.
-    Always succeeds for invertible input."""
+    Raises NumericalError when the quotient A1 A2^{-1} is singular to
+    working precision, as it is on pairs U diag(sqrt(c), 1/sqrt(c)) W at
+    c = 1e8 (ROADMAP item 3: a quotient-free construction)."""
     return kgmd_to_kjet([a1, a2])
 
 

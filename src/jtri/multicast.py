@@ -47,7 +47,6 @@ class MulticastProblem:
 @dataclass
 class SchemeRates:
     per_stream_snr: np.ndarray
-    per_stream_rate: np.ndarray
     total_rate: float
 
 
@@ -130,10 +129,8 @@ def scheme_rates(diag, n_ext=1):
     if np.any(d < 1.0 - matcore.TOL_ZERO):
         raise DimensionError("scheme diagonal entries must be >= 1")
     d = np.maximum(d, 1.0)
-    snr = d * d - 1.0
-    rate = 2.0 * np.log2(d)
-    return SchemeRates(per_stream_snr=snr, per_stream_rate=rate,
-                       total_rate=float(np.sum(rate)) / int(n_ext))
+    return SchemeRates(per_stream_snr=d * d - 1.0,
+                       total_rate=float(np.sum(2.0 * np.log2(d))) / int(n_ext))
 
 
 def _complex_normal(rng, shape):
@@ -170,11 +167,13 @@ def simulate_sic(problem, factors, trials, seed):
     in a fixed order (each block's symbols, then each user's noise), and
     the estimator uses numpy reductions only.
 
-    ``factors`` is a joint.JointFactors with one (u, r) pair per user;
-    with n_ext > 1 each channel is time-extended n_ext times.  For square
-    (exact) factors the measured SNR converges to the prediction on every
-    stream.  For rectangular time-extension factors the interior streams
-    behave the same way, but the few streams adjacent to the discarded
+    ``factors`` is a joint.JointFactors with one (u, r) pair per user,
+    of height n_t * n_ext.  Each channel acts once per channel use: the
+    time extension ext(a) = I_{n_ext} (x) a is applied to the n_ext row
+    blocks of its operand in turn, never formed.  For square (exact)
+    factors the measured SNR converges to the prediction on every stream.
+    For rectangular time-extension factors the interior streams behave
+    the same way, but the few streams adjacent to the discarded
     coordinates measure a higher SNR than r_j^2 - 1: there the
     prediction is conservative, and the measurement agrees with the
     closed form |S_jj|^2 / (sum_{i<j} |S_ji|^2 + ||front_j||^2).
@@ -183,21 +182,21 @@ def simulate_sic(problem, factors, trials, seed):
         raise DimensionError("trials must be positive")
     if len(factors.users) != len(problem.users):
         raise DimensionError("one factor pair per user required")
-    v = factors.v
+    v, n_ext = factors.v, factors.n_ext
     m_streams = v.shape[1]
+
+    def ext(a, x):   # ext(a) @ x: a applied once per channel use
+        return (a @ x.reshape(n_ext, a.shape[1], x.shape[1])).reshape(-1, x.shape[1])
     links, predicted = [], []
     for (h, (u, _r)) in zip(problem.users, factors.users):
         qfac = _augmented_qr(h, problem.cov)
-        g = qfac.r
-        q1 = qfac.q[:h.shape[0], :]
-        if factors.n_ext > 1:
-            q1 = matcore.time_extend(q1, factors.n_ext)
-            g = matcore.time_extend(g, factors.n_ext)
-        if u.shape[0] != g.shape[0] or v.shape[0] != g.shape[0]:
+        q1, g = qfac.q[:h.shape[0], :], qfac.r
+        if not u.shape[0] == v.shape[0] == g.shape[0] * n_ext:
             raise DimensionError("factor height differs from extended n_t")
-        front = u.conj().T @ q1.conj().T          # m x (n_r * n_ext)
-        signal = front @ (q1 @ (g @ v))           # m x m effective matrix
-        predicted.append(np.abs(np.diag(u.conj().T @ (g @ v))) ** 2 - 1.0)
+        front = ext(q1, u).conj().T               # m x (n_r * n_ext)
+        gv = ext(g, v)
+        signal = front @ ext(q1, gv)              # m x m effective matrix
+        predicted.append(np.abs(np.diag(u.conj().T @ gv)) ** 2 - 1.0)
         links.append((front, np.diag(signal)[:, None], np.tril(signal, -1)))
     block = max(1, _BLOCK_ENTRIES // max(m_streams, *(f.shape[1] for f, _, _ in links)))
     # per user and stream: sums of p_sig, p_sig^2, p_noise, p_noise^2
@@ -275,7 +274,7 @@ def rateless3_reduce(total_rate):
         b2, b4, b6, b8 = b ** 2, b ** 4, b ** 6, b ** 8
     core = np.sqrt(1.0 - b2 + b8)
     a1 = np.array([
-        [core / b2, (b6 - 1.0) / (b * np.sqrt((1.0 - b2 + b8) * (1.0 + b2 + b4)))],
+        [core / b2, (b6 - 1.0) / (b * core * np.sqrt(1.0 + b2 + b4))],
         [0.0, b2 / core],
     ], dtype=np.complex128)
     a2 = np.diag([b, 1.0 / b]).astype(np.complex128)

@@ -140,6 +140,9 @@ def test_singular_matrix_fails_the_det_check():
         joint.kgmd_exact([np.zeros((3, 3))])
     with pytest.raises(DimensionError, match="equal [|]det[|]"):
         joint.jet2(np.zeros((2, 2)), np.zeros((2, 2)))
+    # only the last matrix is singular
+    with pytest.raises(DimensionError, match="equal [|]det[|]"):
+        joint.kgmd_to_kjet([np.eye(3), np.diag([1.0, 1.0, 0.0])])
 
 
 def test_empty_matrices_are_dimension_errors():
@@ -154,12 +157,14 @@ def test_empty_matrices_are_dimension_errors():
 
 
 def test_kgmd_exact_near_identical_matrices_are_not_identical():
-    rng = np.random.default_rng(42)
-    a = rand_unit_det(rng, 3)
-    b = a * (1.0 + 3.5e-6 * np.sign(rng.standard_normal((3, 3))))
-    b /= abs(np.linalg.det(b)) ** (1.0 / 3.0)
-    with pytest.raises(NotConstructibleError):
-        joint.kgmd_exact([a, b])
+    # 1e-8 of max|A| lies between the identical-matrix bound (1e-9) and 100x it
+    for eps in (3.5e-6, 1e-8):
+        rng = np.random.default_rng(42)
+        a = rand_unit_det(rng, 3)
+        b = a * (1.0 + eps * np.sign(rng.standard_normal((3, 3))))
+        b /= abs(np.linalg.det(b)) ** (1.0 / 3.0)
+        with pytest.raises(NotConstructibleError):
+            joint.kgmd_exact([a, b])
     jf = joint.kgmd_exact([a, a.copy()])
     assert recon_error(*jf.users[1], jf.v, a) < 1e-9
 

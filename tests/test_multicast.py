@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,10 @@ def test_cov_sqrt_psd_handling():
     c = np.diag([4.0, 0.0]).astype(complex)
     b = multicast.cov_sqrt(c)
     assert np.allclose(b @ b.conj().T, c)
+    # a pivot of 1e-12 of the scale is kept: the cut is 1e-14
+    c = np.diag([1.0, 1e-12]).astype(complex)
+    b = multicast.cov_sqrt(c)
+    assert np.max(np.abs(b @ b.conj().T - c)) <= 1e-15
     with pytest.raises(NumericalError, match="negative eigenvalue"):
         multicast.cov_sqrt(np.diag([1.0, -1.0]))
 
@@ -174,6 +179,19 @@ def test_simulate_sic_svd_factors_closed_form():
     for j in range(3):
         assert (abs(report.measured_snr[j] - report.predicted_snr[j])
                 <= 3.0 * report.std_error[j])
+
+
+def test_simulate_sic_high_snr_streams_are_finite():
+    # SNRs near 2e12 put the noise at 5e-13 of the signal power: residue
+    # only below 1e-20 of it
+    prob = white_problem([np.diag([1e6, 2e6])], power=2.0)
+    fac = gtd.gmd(multicast.canonical_matrix(prob.users[0], prob.cov))
+    jf = joint.JointFactors(v=fac.v, users=[(fac.u, fac.r)], diag=fac.diag)
+    report = multicast.simulate_sic(prob, jf, trials=20000, seed=3)[0]
+    assert np.allclose(report.predicted_snr, 2e12, rtol=1e-9)
+    assert np.all(np.isfinite(report.measured_snr))
+    assert np.all(np.abs(report.measured_snr - report.predicted_snr)
+                  <= 6.0 * report.std_error)
 
 
 def test_simulate_sic_deterministic():
@@ -289,6 +307,16 @@ def test_rateless3_reduce_unit_determinants():
         assert abs(np.linalg.det(a2) - 1.0) < 1e-10
         b = 2.0 ** (c / 12.0)
         assert np.allclose(a2, np.diag([b, 1.0 / b]), atol=1e-12)
+
+
+def test_rateless3_reduce_above_rate_1024():
+    # (1 - b^2 + b^8)(1 + b^2 + b^4) overflows there; each factor does not
+    for c in (1100.0, 1500.0, 1530.0):
+        for rate in (c, np.float64(c)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a1, _ = multicast.rateless3_reduce(rate)
+            assert abs(a1[0, 1] * 2.0 ** (c / 12.0) - 1.0) <= 1e-15
 
 
 def test_rateless3_reduce_sign_change_at_critical_rate():
